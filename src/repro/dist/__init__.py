@@ -25,28 +25,6 @@ from ..parallel.executor import CellSpec, Progress
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV = "REPRO_DIST_BACKEND"
 
-#: Environment toggle for wire-protocol v2 batching ("0" -> v1 singles).
-BATCH_ENV = "REPRO_DIST_BATCH"
-
-#: Most cells a worker claims/chunks per exchange when batching is on.
-DEFAULT_MAX_BATCH = 16
-
-
-def batching_enabled() -> bool:
-    """Wire-protocol v2 batching is on unless $REPRO_DIST_BATCH says no.
-
-    Turning it off (``0``/``false``/``off``/``no``) runs the fleet on
-    the v1 single-claim protocol — the CI scorecard cross-check and the
-    bench's batched-vs-unbatched throughput section both use this.
-    """
-    return os.environ.get(BATCH_ENV, "1").strip().lower() not in (
-        "0", "false", "off", "no")
-
-
-def default_max_batch() -> int:
-    """The claim/chunk ceiling the current batch toggle implies."""
-    return DEFAULT_MAX_BATCH if batching_enabled() else 1
-
 #: The default backend: today's serial/process-pool path.
 DEFAULT_BACKEND = "inprocess"
 
@@ -134,12 +112,8 @@ def run_dist_cells(
 __all__ = [
     "BACKENDS",
     "BACKEND_ENV",
-    "BATCH_ENV",
     "DEFAULT_BACKEND",
-    "DEFAULT_MAX_BATCH",
     "backend_names",
-    "batching_enabled",
-    "default_max_batch",
     "resolve_backend",
     "run_dist_cells",
 ]

@@ -9,10 +9,9 @@ its spec, and results travel as the same pickles the cache stores).
   inside :func:`repro.parallel.run_cells` itself.  The default; zero
   new moving parts.
 * ``work-stealing`` — a multiprocess pool sharing one task queue: idle
-  workers steal the next *chunk* of cells (sized adaptively from the
-  observed cell cost), a dead worker's in-flight cells are re-enqueued
-  (at-least-once), and results are published to the shared artifact
-  store as they land.
+  workers steal the next cell, a dead worker's in-flight cell is
+  re-enqueued (at-least-once), and results are published to the shared
+  artifact store as they land.
 * ``socket`` — the same queue served over HTTP by a
   :class:`~repro.dist.coordinator.CoordinatorServer`; workers are
   separate ``python -m repro.dist.worker`` processes (spawned locally
@@ -52,11 +51,9 @@ from ..parallel.executor import (
     _execute,
     resolve_jobs,
 )
-from . import batching_enabled, default_max_batch
 from .queue import FAILED, TaskQueue
 from .store import ArtifactStore, MemoryArtifactStore
-from .wire import PayloadTable, encode_cell
-from .worker import TARGET_BATCH_SECONDS, next_batch_size
+from .wire import encode_cell
 
 #: Backends consume work items of shape
 #: ``(original index, CellSpec, artifact key or None)``.
@@ -102,17 +99,13 @@ def _fork_allowed() -> bool:
 
 def _ws_worker_main(worker_id: str, task_q, result_q,
                     store_root: Optional[str],
-                    fingerprint: Optional[str],
-                    max_batch: int = 1) -> None:
-    """One pool worker: steal a chunk, fetch-or-compute, publish, repeat.
+                    fingerprint: Optional[str]) -> None:
+    """One pool worker: steal a cell, fetch-or-compute, publish, repeat.
 
     Runs in a child process; everything it needs arrives as picklable
     arguments.  The store is rebuilt from (root, fingerprint) so its
-    keys agree with the parent's.  Chunking follows the same adaptive
-    rule as the socket worker — claim enough cheap cells to fill
-    ~``TARGET_BATCH_SECONDS`` of work, one message per chunk instead of
-    two per cell — and every guard stays per-cell: a crashed cell fails
-    alone, store trouble degrades that cell to a fresh compute.
+    keys agree with the parent's.  Store trouble degrades the cell to a
+    fresh compute; a crashed cell is reported to the parent.
     """
     store = None
     if store_root:
@@ -120,51 +113,31 @@ def _ws_worker_main(worker_id: str, task_q, result_q,
 
         store = ArtifactStore(
             ResultCache(store_root, fingerprint=fingerprint))
-    chunk_size = 1
     while True:
         item = task_q.get()
         if item is None:
             break
-        chunk = [item]
-        while len(chunk) < chunk_size:
-            try:
-                extra = task_q.get_nowait()
-            except stdlib_queue.Empty:
-                break
-            if extra is None:
-                # The drain sentinel belongs to the whole fleet; put it
-                # back for whoever blocks next.
-                task_q.put(None)
-                break
-            chunk.append(extra)
-        result_q.put(("claim", worker_id,
-                      [index for index, _spec, _artifact in chunk]))
-        started = time.perf_counter()
-        dones: list[tuple[int, Any, str]] = []
-        fails: list[tuple[int, str]] = []
-        for index, spec, artifact in chunk:
-            try:
-                if store is not None and artifact is not None:
-                    try:
-                        hit, value = store.fetch(artifact)
-                    except Exception:  # noqa: BLE001 - store never poisons
-                        hit = False
-                    if hit:
-                        dones.append((index, value, "store"))
-                        continue
-                value = _execute(spec)
-                if store is not None and artifact is not None:
-                    try:
-                        store.publish(artifact, value)
-                    except Exception:  # noqa: BLE001 - degrade to computed
-                        pass
-                dones.append((index, value, "computed"))
-            except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                fails.append((index, f"{type(exc).__name__}: {exc}"))
-        result_q.put(("batch", worker_id, dones, fails))
-        chunk_size = next_batch_size(
-            time.perf_counter() - started, len(chunk), max_batch,
-            TARGET_BATCH_SECONDS)
+        index, spec, artifact = item
+        result_q.put(("claim", worker_id, index))
+        try:
+            if store is not None and artifact is not None:
+                try:
+                    hit, value = store.fetch(artifact)
+                except Exception:  # noqa: BLE001 - store never poisons
+                    hit = False
+                if hit:
+                    result_q.put(("done", worker_id, index, value))
+                    continue
+            value = _execute(spec)
+            if store is not None and artifact is not None:
+                try:
+                    store.publish(artifact, value)
+                except Exception:  # noqa: BLE001 - degrade to computed
+                    pass
+            result_q.put(("done", worker_id, index, value))
+        except BaseException as exc:  # noqa: BLE001 - shipped to parent
+            result_q.put(("fail", worker_id, index,
+                          f"{type(exc).__name__}: {exc}"))
 
 
 def run_work_stealing(
@@ -176,7 +149,7 @@ def run_work_stealing(
 ) -> dict[int, Any]:
     """Drain ``items`` with a fleet of stealing workers.
 
-    At-least-once: when a worker dies mid-chunk (detected by liveness,
+    At-least-once: when a worker dies mid-cell (detected by liveness,
     the local analogue of an expired lease), every unresolved cell not
     held by a live worker is re-enqueued and a replacement worker is
     spawned.  Duplicate executions are harmless — cells are pure and
@@ -189,7 +162,6 @@ def run_work_stealing(
     result_q: Any = ctx.Queue()
     store_root = cache.root if cache is not None else None
     fingerprint = cache.fingerprint if cache is not None else None
-    max_batch = default_max_batch()
 
     n_workers = max(1, min(resolve_jobs(jobs), len(items)))
     workers: dict[str, Any] = {}
@@ -209,8 +181,7 @@ def run_work_stealing(
         spawned += 1
         process = ctx.Process(
             target=_ws_worker_main,
-            args=(worker_id, task_q, result_q, store_root, fingerprint,
-                  max_batch),
+            args=(worker_id, task_q, result_q, store_root, fingerprint),
             daemon=True)
         process.start()
         workers[worker_id] = process
@@ -223,7 +194,7 @@ def run_work_stealing(
     by_index = {index: (spec, artifact) for index, spec, artifact in items}
     results: dict[int, Any] = {}
     attempts: dict[int, int] = {}
-    inflight: dict[str, set[int]] = {}
+    inflight: dict[str, int] = {}
 
     def shutdown(kill: bool = False) -> None:
         for process in workers.values():
@@ -250,31 +221,25 @@ def run_work_stealing(
                 _ws_reap_dead(workers, inflight, by_index, results,
                               attempts, task_q, spawn)
                 continue
-            kind = message[0]
+            kind, worker_id, index = message[:3]
+            key = by_index[index][0].key
             if kind == "claim":
-                _, worker_id, indices = message
-                inflight[worker_id] = set(indices)
-                for index in indices:
-                    attempts[index] = attempts.get(index, 0) + 1
-                    if attempts[index] > MAX_ATTEMPTS:
-                        raise BackendError(
-                            f"cell {by_index[index][0].key} exceeded "
-                            f"{MAX_ATTEMPTS} attempts")
-                    if attempts[index] == 1:
-                        progress(by_index[index][0].key, "run")
-            elif kind == "batch":
-                _, worker_id, dones, fails = message
-                inflight.pop(worker_id, None)
-                for index, value, _source in dones:
-                    if index not in results:  # first result wins duplicates
-                        results[index] = value
-                        progress(by_index[index][0].key, "done")
-                if fails:
-                    # A cell that raised is deterministic; propagate like
-                    # the in-process pool does rather than retrying it.
-                    index, error = fails[0]
+                inflight[worker_id] = index
+                attempts[index] = attempts.get(index, 0) + 1
+                if attempts[index] > MAX_ATTEMPTS:
                     raise BackendError(
-                        f"cell {by_index[index][0].key} failed: {error}")
+                        f"cell {key} exceeded {MAX_ATTEMPTS} attempts")
+                if attempts[index] == 1:
+                    progress(key, "run")
+            elif kind == "done":
+                inflight.pop(worker_id, None)
+                if index not in results:  # first result wins duplicates
+                    results[index] = message[3]
+                    progress(key, "done")
+            else:
+                # A cell that raised is deterministic; propagate like the
+                # in-process pool does rather than retrying it.
+                raise BackendError(f"cell {key} failed: {message[3]}")
     except BaseException:
         shutdown(kill=True)
         raise
@@ -292,12 +257,10 @@ def _ws_reap_dead(workers, inflight, by_index, results, attempts,
     for worker_id in dead:
         del workers[worker_id]
         inflight.pop(worker_id, None)
-    # A worker may die between stealing a chunk and reporting the claim,
+    # A worker may die between stealing a cell and reporting the claim,
     # so re-enqueue *every* unresolved cell no live worker holds —
     # duplicates are safe (pure cells, first result wins).
-    held: set[int] = set()
-    for indices in inflight.values():
-        held.update(indices)
+    held = set(inflight.values())
     for index, (spec, artifact) in by_index.items():
         if index not in results and index not in held:
             if attempts.get(index, 0) >= MAX_ATTEMPTS:
@@ -339,11 +302,10 @@ def spawn_worker(url: str, worker_id: str, lease: float = 30.0,
     )
 
 
-def _forked_worker_main(url: str, worker_id: str, lease: float,
-                        max_batch: Optional[int]) -> None:
+def _forked_worker_main(url: str, worker_id: str, lease: float) -> None:
     """Entry point for fork-context local socket workers.
 
-    Same loop as the CLI (claim over HTTP, shared store, batched acks)
+    Same loop as the CLI (claim over HTTP, shared store, per-cell acks)
     minus the interpreter + import bill — the fork inherited everything
     warm.  The shared HTTP pool cleared itself at fork, so this child
     opens its own coordinator connection.
@@ -354,7 +316,7 @@ def _forked_worker_main(url: str, worker_id: str, lease: float,
     # The CLI entry resolves --obs-push/$REPRO_OBS_PUSH; a forked
     # member skips the CLI, so honour the env opt-in here.
     worker_loop(url, worker_id, poll=_LOCAL_POLL, lease=lease,
-                max_batch=max_batch, obs_push=resolve_push_url(None))
+                obs_push=resolve_push_url(None))
 
 
 class _FleetMember:
@@ -393,7 +355,7 @@ def _spawn_fleet(url: str, n_workers: int, lease: float,
     for i in range(n_workers):
         process = ctx.Process(
             target=_forked_worker_main,
-            args=(url, f"w{i}", lease, default_max_batch()),
+            args=(url, f"w{i}", lease),
             daemon=True)
         process.start()
         members.append(_FleetMember(process))
@@ -428,11 +390,10 @@ def run_socket(
     task_queue = TaskQueue(lease=lease, max_attempts=MAX_ATTEMPTS)
     store = (ArtifactStore(cache) if cache is not None
              else MemoryArtifactStore())
-    payloads = PayloadTable() if batching_enabled() else None
     task_index: dict[str, int] = {}
     for index, spec, artifact in items:
         task = task_queue.submit(
-            encode_cell(spec, payloads=payloads), key=spec.key,
+            encode_cell(spec), key=spec.key,
             artifact=artifact, cacheable=spec.cacheable)
         task_index[task.task_id] = index
 
@@ -441,8 +402,7 @@ def run_socket(
     deadline = (time.monotonic() + wait_timeout
                 if wait_timeout is not None else None)
 
-    server = CoordinatorServer(task_queue, store, host=host,
-                               payloads=payloads)
+    server = CoordinatorServer(task_queue, store, host=host)
     use_fork = _fork_allowed()
     fleet = _spawn_fleet(server.url, n_workers, lease, use_fork)
     server.start()

@@ -8,37 +8,24 @@ and an artifact store through the same framework-agnostic
 The worker protocol (all JSON unless noted)::
 
     POST /queue/claim            {"worker", "lease"?}  -> 200 task
-                                 {"worker", "max", "lease"?}
-                                                       -> 200 {"tasks": [...]}
                                                        |  204 idle
                                                        |  410 drained
     POST /queue/tasks/{id}/ack   {"worker", "result", "source"}
     POST /queue/tasks/{id}/nack  {"worker", "error", "requeue"?}
-    POST /queue/ack_many         {"worker", "acks": [{task_id, result,
-                                  source}]}  -> {"acked": [...], "stale": [...]}
-    POST /queue/nack_many        {"worker", "nacks": [{task_id, error,
-                                  requeue}]} -> {"states": {...}}
     POST /queue/heartbeat        {"worker"}            -> {"extended": n}
     GET  /queue/status           queue + store + wire counters, task states
-    GET  /payload/{digest}       cached cell payload (text/plain) | 404
     GET  /artifacts/{key}        pickled artifact (octet-stream) | 404
     PUT  /artifacts/{key}        publish a pickled artifact      -> 204
     GET  /healthz                liveness
 
-This is wire-protocol **v2**: a claim carrying ``"max"`` leases up to
-that many tasks in one exchange (each under its *own* per-task lease),
-``ack_many``/``nack_many`` settle whole batches, every batched call
-piggybacks a heartbeat on the worker's other leases, and large cell
-payloads travel by content digest through ``/payload/<digest>`` (see
-:mod:`repro.dist.wire`).  The v1 single-task routes remain served —
-``REPRO_DIST_BATCH=0`` runs the fleet on them — and are the degenerate
-batch of one.
-
-A claim leases each task for ``lease`` seconds (bounded by the queue
-default); ack/nack/heartbeat before the deadline or the task goes back
-on the queue for someone else — at-least-once delivery, the paper's
-retry discipline applied to our own executor.  410 on claim is the
-drain signal: workers exit cleanly when the campaign is over.
+One claim leases one task for ``lease`` seconds (bounded by the queue
+default) and piggybacks a heartbeat on the worker's other leases;
+ack/nack/heartbeat before the deadline or the task goes back on the
+queue for someone else — at-least-once delivery, the paper's retry
+discipline applied to our own executor.  Each cell settles on its own
+``/queue/tasks/{id}/ack|nack``; an ack or nack for a lease the worker
+no longer holds is a 409 the worker drops as a duplicate.  410 on claim
+is the drain signal: workers exit cleanly when the campaign is over.
 
 Security: task payloads and artifacts are pickles.  Bind loopback (the
 default) or a network you trust end-to-end; this protocol authenticates
@@ -54,17 +41,17 @@ from typing import Any, Optional
 
 from ..obs.metrics import MetricsRegistry
 from .queue import QueueError, Task, TaskQueue
-from .wire import PayloadTable, WireError, decode_blob_ex
+from .wire import WireError, decode_blob_ex
 
 JSON = "application/json"
 BINARY = "application/octet-stream"
-TEXT = "text/plain"
 
 #: Longest lease a worker may ask for, as a multiple of the queue default.
 MAX_LEASE_FACTOR = 10.0
 
-#: Most tasks a single claim may lease, whatever the worker asks for.
-MAX_CLAIM_BATCH = 64
+#: Seconds between the serve loop's shutdown checks: the most
+#: :meth:`CoordinatorServer.close` waits for the loop to notice.
+_SHUTDOWN_POLL = 0.02
 
 
 def _dumps(doc: Any) -> bytes:
@@ -80,11 +67,9 @@ class CoordinatorApp:
     """Routes worker-protocol requests onto the queue and the store."""
 
     def __init__(self, queue: TaskQueue, store: Any = None,
-                 payloads: Optional[PayloadTable] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.queue = queue
         self.store = store
-        self.payloads = payloads
         # keep_series=False: the coordinator wants counters, not
         # timestamped series — no reason to drag the sim monitor in.
         self.metrics = metrics or MetricsRegistry(keep_series=False)
@@ -98,7 +83,7 @@ class CoordinatorApp:
             labels=("direction",))
         self._blob_bytes = self.metrics.counter(
             "dist_blob_bytes_total",
-            "result/payload blob bytes, as shipped vs decompressed",
+            "result blob bytes, as shipped vs decompressed",
             labels=("encoding",))
 
     # ------------------------------------------------------------------
@@ -133,10 +118,6 @@ class CoordinatorApp:
             "cell": task.payload,
         }
 
-    def _count_blob(self, text: str, raw: int) -> None:
-        self._blob_bytes.labels(encoding="wire").inc(len(text))
-        self._blob_bytes.labels(encoding="raw").inc(raw)
-
     def _dispatch(self, method: str, parts: list[str],
                   body: bytes) -> tuple[int, str, bytes]:
         if parts == ["healthz"] and method == "GET":
@@ -149,17 +130,6 @@ class CoordinatorApp:
             if lease is not None:
                 lease = min(float(lease),
                             self.queue.lease * MAX_LEASE_FACTOR)
-            if "max" in doc:
-                batch = max(1, min(int(doc["max"]), MAX_CLAIM_BATCH))
-                tasks = self.queue.claim_many(worker, batch, lease=lease)
-                if not tasks:
-                    if self.queue.draining:
-                        return 410, JSON, _error(
-                            "drained", "queue is drained")
-                    return 204, JSON, b""
-                self._ops.labels(worker=worker, op="claim").inc(len(tasks))
-                return 200, JSON, _dumps(
-                    {"tasks": [self._task_doc(task) for task in tasks]})
             task = self.queue.claim(worker, lease=lease)
             if task is None:
                 if self.queue.draining:
@@ -175,8 +145,9 @@ class CoordinatorApp:
             worker = _worker_id(doc)
             if action == "ack":
                 text = _require_str(doc, "result")
-                result, wire_chars, raw = decode_blob_ex(text)
-                self._count_blob(text, raw)
+                result, wire, raw = decode_blob_ex(text)
+                self._blob_bytes.labels(encoding="wire").inc(wire)
+                self._blob_bytes.labels(encoding="raw").inc(raw)
                 source = str(doc.get("source") or "computed")
                 self.queue.ack(task_id, worker, result=result, source=source)
                 self._ops.labels(worker=worker, op="ack").inc()
@@ -190,48 +161,6 @@ class CoordinatorApp:
                 return 200, JSON, _dumps(
                     {"ok": True, "state": task.state})
 
-        if parts == ["queue", "ack_many"] and method == "POST":
-            doc = _json_body(body)
-            worker = _worker_id(doc)
-            entries = _require_list(doc, "acks")
-            triples: list[tuple[str, Any, str]] = []
-            rejected: list[str] = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise _BadRequest("each ack must be an object")
-                task_id = _require_str(entry, "task_id")
-                try:
-                    text = _require_str(entry, "result")
-                    result, _, raw = decode_blob_ex(text)
-                except (WireError, _BadRequest):
-                    # One undecodable result must not void the batch;
-                    # the task stays leased and expires back to pending.
-                    rejected.append(task_id)
-                    continue
-                self._count_blob(text, raw)
-                source = str(entry.get("source") or "computed")
-                triples.append((task_id, result, source))
-            acked, stale = self.queue.ack_many(worker, triples)
-            self._ops.labels(worker=worker, op="ack").inc(len(acked))
-            return 200, JSON, _dumps(
-                {"acked": acked, "stale": stale, "rejected": rejected})
-
-        if parts == ["queue", "nack_many"] and method == "POST":
-            doc = _json_body(body)
-            worker = _worker_id(doc)
-            entries = _require_list(doc, "nacks")
-            triples = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise _BadRequest("each nack must be an object")
-                triples.append((_require_str(entry, "task_id"),
-                                _require_str(entry, "error"),
-                                bool(entry.get("requeue", True))))
-            states = self.queue.nack_many(worker, triples)
-            settled = sum(1 for state in states.values() if state != "stale")
-            self._ops.labels(worker=worker, op="nack").inc(settled)
-            return 200, JSON, _dumps({"states": states})
-
         if parts == ["queue", "heartbeat"] and method == "POST":
             doc = _json_body(body)
             extended = self.queue.heartbeat(_worker_id(doc))
@@ -239,16 +168,6 @@ class CoordinatorApp:
 
         if parts == ["queue", "status"] and method == "GET":
             return 200, JSON, _dumps(self._status_doc())
-
-        if len(parts) == 2 and parts[0] == "payload" and method == "GET":
-            if self.payloads is None:
-                return 404, JSON, _error(
-                    "no-payloads", "coordinator has no payload table")
-            text = self.payloads.get(parts[1])
-            if text is None:
-                return 404, JSON, _error(
-                    "miss", f"no payload {parts[1][:12]}...")
-            return 200, TEXT, text.encode("ascii")
 
         if len(parts) == 2 and parts[0] == "artifacts":
             key = parts[1]
@@ -293,8 +212,6 @@ class CoordinatorApp:
             "stats": self.queue.stats.as_dict(),
             "store": (self.store.stats()
                       if self.store is not None else None),
-            "payloads": (self.payloads.stats()
-                         if self.payloads is not None else None),
             "workers": workers,
             "wire": {
                 "in_bytes": _count(self._http_bytes, direction="in"),
@@ -334,13 +251,6 @@ def _require_str(doc: dict[str, Any], field: str) -> str:
     value = doc.get(field)
     if not isinstance(value, str):
         raise _BadRequest(f"field {field!r} must be a string")
-    return value
-
-
-def _require_list(doc: dict[str, Any], field: str) -> list[Any]:
-    value = doc.get(field)
-    if not isinstance(value, list):
-        raise _BadRequest(f"field {field!r} must be a list")
     return value
 
 
@@ -408,10 +318,8 @@ class CoordinatorServer:
 
     def __init__(self, queue: TaskQueue, store: Any = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 payloads: Optional[PayloadTable] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.app = CoordinatorApp(queue, store, payloads=payloads,
-                                  metrics=metrics)
+        self.app = CoordinatorApp(queue, store, metrics=metrics)
         self.server = make_server(self.app, host=host, port=port)
         bound_host, bound_port = self.server.server_address[:2]
         self.url = f"http://{bound_host}:{bound_port}"
@@ -421,6 +329,7 @@ class CoordinatorServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self.server.serve_forever,
+                kwargs={"poll_interval": _SHUTDOWN_POLL},
                 name="repro-dist-coordinator", daemon=True)
             self._thread.start()
         return self.url

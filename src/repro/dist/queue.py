@@ -5,12 +5,8 @@ semantics every backend shares:
 
 * **submit** — tasks enter in submission order and are handed out FIFO;
 * **claim** — a worker takes the next pending task under a *lease*: a
-  deadline by which it must ack, nack, or heartbeat.  Batched variants
-  (:meth:`~TaskQueue.claim_many`, :meth:`~TaskQueue.ack_many`,
-  :meth:`~TaskQueue.nack_many`) move whole chunks per call — the wire
-  win — while leases, worker-id guards, and max-attempts bounds stay
-  strictly per-task, and every batched call piggybacks a heartbeat on
-  the worker's other leases;
+  deadline by which it must ack, nack, or heartbeat.  Every claim also
+  piggybacks a heartbeat on the leases the worker already holds;
 * **ack / nack** — terminal outcomes.  An ack stores the result; a nack
   either re-enqueues the task (transient failure) or fails it for good;
 * **heartbeat** — extends every lease a worker holds, so long-running
@@ -195,41 +191,24 @@ class TaskQueue:
         (queue default if omitted); it must ack, nack, or heartbeat
         before the deadline or the task is reaped back to pending.
         Expired leases are collected on the way in, so a single-threaded
-        driver never needs a separate reaper.
-        """
-        tasks = self.claim_many(worker, 1, lease=lease)
-        return tasks[0] if tasks else None
-
-    def claim_many(self, worker: str, max_tasks: int,
-                   lease: Optional[float] = None) -> list[Task]:
-        """Hand up to ``max_tasks`` pending tasks to ``worker``, FIFO.
-
-        Each task gets its *own* lease deadline — expiry, re-delivery,
-        and poison bounds remain per-task even when delivery is
-        batched.  The claim also piggybacks a heartbeat: any lease the
-        worker already holds is extended, so a worker busy with a long
-        batch need not make a separate heartbeat call just because it
-        came back for more work.
+        driver never needs a separate reaper.  The claim also piggybacks
+        a heartbeat: any lease the worker already holds is extended.
         """
         if not worker:
             raise QueueError("claim needs a worker id")
-        if max_tasks < 1:
-            raise QueueError(f"claim batch must be >= 1, got {max_tasks}")
         with self._lock:
             self._reap_locked()
             now = self.clock()
             self._extend_held_locked(worker, now)
-            window = self.lease if lease is None else lease
-            claimed: list[Task] = []
-            while self._pending and len(claimed) < max_tasks:
-                task = self._tasks[self._pending.popleft()]
-                task.state = CLAIMED
-                task.worker = worker
-                task.attempts += 1
-                task.deadline = now + window
-                self.stats.claims += 1
-                claimed.append(task)
-            return claimed
+            if not self._pending:
+                return None
+            task = self._tasks[self._pending.popleft()]
+            task.state = CLAIMED
+            task.worker = worker
+            task.attempts += 1
+            task.deadline = now + (self.lease if lease is None else lease)
+            self.stats.claims += 1
+            return task
 
     def ack(self, task_id: str, worker: str, result: Any = None,
             source: str = "computed") -> Task:
@@ -264,68 +243,6 @@ class TaskQueue:
                 task.error = error
                 self._done.notify_all()
             return task
-
-    def ack_many(self, worker: str,
-                 acks: list[tuple[str, Any, str]]
-                 ) -> tuple[list[str], list[str]]:
-        """Complete a batch of claimed tasks: ``(task_id, result,
-        source)`` triples.  Returns ``(acked, stale)`` task-id lists.
-
-        Unlike :meth:`ack`, a stale entry — lease expired mid-batch and
-        the task moved on — is *skipped*, not raised: one slow cell
-        must not void its batchmates' perfectly good results.  The call
-        piggybacks a heartbeat on any lease the worker still holds.
-        """
-        acked: list[str] = []
-        stale: list[str] = []
-        with self._lock:
-            for task_id, result, source in acks:
-                task = self._tasks.get(task_id)
-                if (task is None or task.state != CLAIMED
-                        or task.worker != worker):
-                    stale.append(task_id)
-                    continue
-                task.state = DONE
-                task.result = result
-                task.source = source
-                task.worker = None
-                task.deadline = None
-                self.stats.acks += 1
-                acked.append(task_id)
-            self._extend_held_locked(worker, self.clock())
-            if acked:
-                self._done.notify_all()
-        return acked, stale
-
-    def nack_many(self, worker: str,
-                  nacks: list[tuple[str, str, bool]]) -> dict[str, str]:
-        """Report a batch of failures: ``(task_id, error, requeue)``
-        triples.  Returns each task's resulting state (``"stale"`` for
-        entries the worker no longer holds).  Poison bounds stay
-        per-task: one cell exhausting ``max_attempts`` fails alone,
-        its batchmates re-enqueue as usual.
-        """
-        states: dict[str, str] = {}
-        with self._lock:
-            for task_id, error, requeue in nacks:
-                task = self._tasks.get(task_id)
-                if (task is None or task.state != CLAIMED
-                        or task.worker != worker):
-                    states[task_id] = "stale"
-                    continue
-                task.worker = None
-                task.deadline = None
-                task.error = error
-                self.stats.nacks += 1
-                if requeue and task.attempts < self.max_attempts:
-                    task.state = PENDING
-                    self._pending.append(task.task_id)
-                else:
-                    task.state = FAILED
-                    self._done.notify_all()
-                states[task_id] = task.state
-            self._extend_held_locked(worker, self.clock())
-        return states
 
     def heartbeat(self, worker: str) -> int:
         """Extend every lease ``worker`` holds; returns how many."""

@@ -130,8 +130,8 @@ class HttpArtifactStore:
     Transport failures degrade to misses/no-ops and are *counted*, not
     raised: a worker that cannot reach the store computes the cell
     itself and acks it ``source: "computed"`` — exactly the fallback
-    the at-least-once queue expects, and one store outage mid-batch
-    must never poison the rest of the chunk.
+    the at-least-once queue expects; a store outage never fails a
+    cell.
 
     Requests ride the shared keep-alive pool in
     :mod:`repro.service.http`, so store traffic reuses the worker's

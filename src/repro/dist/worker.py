@@ -4,8 +4,8 @@
 
     python -m repro.dist.worker http://127.0.0.1:8777 --id w0
 
-The loop is deliberately boring — claim a batch, maybe fetch from the
-shared store, compute, publish, ack the batch — with the paper's client
+The loop is deliberately boring — claim a cell, maybe fetch from the
+shared store, compute, publish, ack — with the paper's client
 discipline wired into every edge:
 
 * transient transport errors back off exponentially (capped) and retry;
@@ -13,23 +13,17 @@ discipline wired into every edge:
   exponential backoff — a fleet of idle workers must not stampede the
   coordinator in lockstep — reset on the next successful claim;
 * a drained queue (410) is a clean exit;
-* while a batch runs, a heartbeat thread extends the leases (and every
-  claim/ack piggybacks one), so slow cells survive short lease windows
-  but a *crashed* worker's leases expire and the coordinator re-queues
-  its tasks;
+* while a cell runs, a heartbeat thread extends its lease (and every
+  claim piggybacks one), so slow cells survive short lease windows but
+  a *crashed* worker's leases expire and the coordinator re-queues its
+  tasks;
 * a cell whose artifact is already in the store is acked as
   ``source: "store"`` without recomputing — one worker's work is every
-  worker's warm hit.  Store trouble (a transport failure mid-batch,
-  say) degrades that one cell to ``source: "computed"``; it never
-  poisons its batchmates.
+  worker's warm hit.  Store trouble (a transport failure, say) degrades
+  the cell to ``source: "computed"``; it never fails the cell.
 
-Batching is the wire-protocol v2 throughput lever: the worker claims a
-*chunk* of cells sized from the observed per-cell cost (aiming for
-:data:`TARGET_BATCH_SECONDS` of work per round trip), executes them
-all, and settles the whole chunk with one ``ack_many``.  Cheap cells
-amortize round trips; expensive cells shrink the chunk back toward one
-so lease granularity stays honest.  ``REPRO_DIST_BATCH=0`` pins the
-loop to the v1 single-claim protocol.
+Each cell settles on its own ack or nack, the way the paper's clients
+settle each unit of work.
 
 Workers share the coordinator's artifact store through its
 ``/artifacts`` endpoints, so nothing assumes a shared filesystem.
@@ -46,17 +40,13 @@ import threading
 import time
 from typing import Any, Optional
 
+from ..core.backoff import BackoffPolicy, BackoffState
 from ..obs.api import Observability
 from ..obs.push import ObsPusher, resolve_push_url
 from ..parallel.executor import CellSpec
-from ..service.http import (
-    HttpTransportError,
-    http_request,
-    jittered_delay,
-)
-from . import default_max_batch
+from ..service.http import HttpTransportError, http_request
 from .store import HttpArtifactStore
-from .wire import PayloadCache, WireError, decode_cell, encode_blob
+from .wire import WireError, decode_cell, encode_blob
 
 #: Base seconds between claim attempts while the queue is idle.
 DEFAULT_POLL = 0.1
@@ -64,9 +54,15 @@ DEFAULT_POLL = 0.1
 #: Lease the worker requests per task.
 DEFAULT_LEASE = 30.0
 
-#: Seconds of work a batch should carry: the adaptive chunker divides
-#: this by the observed mean cell cost to size the next claim.
-TARGET_BATCH_SECONDS = 0.5
+
+def idle_backoff(poll: float) -> BackoffPolicy:
+    """The idle-poll schedule: Ethernet's truncated binary exponential
+    backoff, a uniform draw from ``[0, window)`` where the window
+    doubles from ``poll`` and is truncated at ``poll * 4`` — past that
+    the collision pressure is gone and longer naps only delay noticing
+    the drain."""
+    return BackoffPolicy(base=poll, factor=2.0, ceiling=poll * 4,
+                         jitter_low=0.0, jitter_high=1.0)
 
 
 class WorkerError(Exception):
@@ -133,39 +129,27 @@ class CoordinatorClient:
         return response.status, payload
 
     # -- protocol verbs --------------------------------------------------
-    # claim/heartbeat are idempotent and ack_many/nack_many are
-    # duplicate-safe (a re-delivered settle just reports stale), so all
-    # of them retry on transport failures.
-    def claim(self, max_tasks: Optional[int] = None
-              ) -> tuple[str, list[dict[str, Any]]]:
-        """``("tasks", docs)``, ``("idle", [])`` or ``("drained", [])``.
-
-        ``max_tasks`` > 1 asks the v2 batched route for a chunk; omitted
-        (or 1 with batching off) it stays on the v1 single-task wire.
-        """
-        doc: dict[str, Any] = {"worker": self.worker_id,
-                               "lease": self.lease}
-        if max_tasks is not None and max_tasks > 1:
-            doc["max"] = max_tasks
-        status, payload = self._post("/queue/claim", doc, retries=3)
+    # Every verb retries transport failures: claim and heartbeat are
+    # idempotent, and a re-delivered ack/nack lands on a lease already
+    # settled, so it comes back 409 and is dropped as a duplicate.
+    def claim(self) -> tuple[str, Optional[dict[str, Any]]]:
+        """``("task", doc)``, ``("idle", None)`` or ``("drained", None)``."""
+        status, payload = self._post(
+            "/queue/claim", {"worker": self.worker_id, "lease": self.lease},
+            retries=3)
         if status == 200 and isinstance(payload, dict):
-            if "tasks" in payload:
-                tasks = payload["tasks"]
-                if isinstance(tasks, list):
-                    return "tasks", [t for t in tasks if isinstance(t, dict)]
-            else:
-                return "tasks", [payload]
+            return "task", payload
         if status == 204:
-            return "idle", []
+            return "idle", None
         if status == 410:
-            return "drained", []
+            return "drained", None
         raise WorkerError(f"claim failed: HTTP {status} {payload!r}")
 
     def ack(self, task_id: str, result: Any, source: str) -> None:
         status, doc = self._post(
             f"/queue/tasks/{task_id}/ack",
             {"worker": self.worker_id, "result": encode_blob(result),
-             "source": source})
+             "source": source}, retries=2)
         if status == 409:
             # Lease lost: another worker owns (or finished) the task.
             # At-least-once means this is a dropped duplicate, not an
@@ -177,56 +161,13 @@ class CoordinatorClient:
     def nack(self, task_id: str, error: str, requeue: bool = True) -> None:
         status, doc = self._post(
             f"/queue/tasks/{task_id}/nack",
-            {"worker": self.worker_id, "error": error, "requeue": requeue})
+            {"worker": self.worker_id, "error": error, "requeue": requeue},
+            retries=2)
         if status not in (200, 409):
             raise WorkerError(f"nack {task_id} failed: HTTP {status} {doc!r}")
 
-    def ack_many(self, acks: list[tuple[str, Any, str]]) -> list[str]:
-        """Settle a batch of results; returns the stale task ids."""
-        if not acks:
-            return []
-        status, doc = self._post(
-            "/queue/ack_many",
-            {"worker": self.worker_id,
-             "acks": [{"task_id": task_id, "result": encode_blob(result),
-                       "source": source}
-                      for task_id, result, source in acks]},
-            retries=2)
-        if status != 200 or not isinstance(doc, dict):
-            raise WorkerError(f"ack_many failed: HTTP {status} {doc!r}")
-        stale = doc.get("stale")
-        return [str(t) for t in stale] if isinstance(stale, list) else []
-
-    def nack_many(self, nacks: list[tuple[str, str, bool]]) -> None:
-        if not nacks:
-            return
-        status, doc = self._post(
-            "/queue/nack_many",
-            {"worker": self.worker_id,
-             "nacks": [{"task_id": task_id, "error": error,
-                        "requeue": requeue}
-                       for task_id, error, requeue in nacks]},
-            retries=2)
-        if status != 200:
-            raise WorkerError(f"nack_many failed: HTTP {status} {doc!r}")
-
     def heartbeat(self) -> None:
         self._post("/queue/heartbeat", {"worker": self.worker_id})
-
-    def payload(self, digest: str) -> str:
-        """Fetch a content-addressed cell payload; raises WireError on
-        a miss (a digest the coordinator cannot serve will not appear
-        by retrying the same campaign)."""
-        try:
-            response = http_request(
-                f"{self.url}/payload/{digest}", timeout=self.timeout,
-                retries=2)
-        except HttpTransportError as exc:
-            raise WireError(f"payload fetch failed: {exc}")
-        if response.status != 200:
-            raise WireError(
-                f"payload {digest[:12]}...: HTTP {response.status}")
-        return response.body.decode("ascii")
 
 
 class WorkerTelemetry:
@@ -254,15 +195,13 @@ class WorkerTelemetry:
             "dist_worker_cells_total", "cells settled by result source",
             labels=("source",))
         self._busy = metrics.counter(
-            "dist_worker_busy_seconds_total", "seconds executing batches")
+            "dist_worker_busy_seconds_total", "seconds executing cells")
         self._elapsed = metrics.counter(
             "dist_worker_elapsed_seconds_total",
             "wall seconds since the loop started")
         self._backoff = metrics.histogram(
             "dist_worker_idle_backoff_seconds",
             "jittered idle backoff sleeps")
-        self._batch = metrics.gauge(
-            "dist_worker_batch_size", "current adaptive chunk size")
         self._pusher = ObsPusher(
             url, source=f"worker/{worker_id}",
             labels={"component": "dist-worker", "worker": worker_id})
@@ -280,14 +219,11 @@ class WorkerTelemetry:
         if self.enabled:
             self._backoff.observe(seconds)
 
-    def batch_done(self, outcomes: dict[str, str], elapsed: float,
-                   next_batch: int) -> None:
+    def task_done(self, source: str, elapsed: float) -> None:
         if not self.enabled:
             return
-        for source in outcomes.values():
-            self._cells.labels(source=source).inc()
+        self._cells.labels(source=source).inc()
         self._busy.inc(elapsed)
-        self._batch.set(next_batch)
         self.push()
 
     def push(self) -> None:
@@ -307,94 +243,46 @@ def execute_cell(spec: CellSpec) -> Any:
     return _execute(spec)
 
 
-def process_batch(
-    client: CoordinatorClient,
-    store: HttpArtifactStore,
-    docs: list[dict[str, Any]],
-    payloads: Optional[PayloadCache] = None,
-    batched: bool = True,
-) -> dict[str, str]:
-    """Execute a claimed chunk; returns ``{task_id: source}`` outcomes.
-
-    Every guard is per-cell: an undecodable cell nacks terminally, a
-    crashed cell nacks for retry, and store trouble — including an
-    :class:`HttpTransportError` surfacing mid-batch — quietly degrades
-    that one cell to ``source: "computed"``.  Nothing a single cell
-    does can void its batchmates' results.
-    """
-    acks: list[tuple[str, Any, str]] = []
-    nacks: list[tuple[str, str, bool]] = []
-    outcomes: dict[str, str] = {}
-    with _Heartbeat(client, interval=max(client.lease / 3.0, 0.5)):
-        for doc in docs:
-            task_id = str(doc.get("task_id"))
-            cell_doc = doc.get("cell")
-            try:
-                spec = decode_cell(
-                    cell_doc if isinstance(cell_doc, dict) else {},
-                    payloads=payloads, fetch=client.payload)
-            except WireError as exc:
-                # Undecodable cells will not improve with retries.
-                nacks.append((task_id, f"wire: {exc}", False))
-                outcomes[task_id] = "error"
-                continue
-            artifact = doc.get("artifact")
-            use_store = bool(artifact) and spec.cacheable
-            if use_store:
-                try:
-                    hit, value = store.fetch(str(artifact))
-                except Exception:  # noqa: BLE001 - store never poisons
-                    hit = False
-                if hit:
-                    acks.append((task_id, value, "store"))
-                    outcomes[task_id] = "store"
-                    continue
-            try:
-                value = execute_cell(spec)
-            except Exception as exc:  # noqa: BLE001 - cell isolation
-                nacks.append((task_id, f"{type(exc).__name__}: {exc}", True))
-                outcomes[task_id] = "error"
-                continue
-            if use_store:
-                try:
-                    store.publish(str(artifact), value)
-                except Exception:  # noqa: BLE001 - degrade to computed
-                    pass
-            acks.append((task_id, value, "computed"))
-            outcomes[task_id] = "computed"
-        if batched:
-            client.ack_many(acks)
-            client.nack_many(nacks)
-        else:
-            for task_id, value, source in acks:
-                client.ack(task_id, value, source)
-            for task_id, error, requeue in nacks:
-                client.nack(task_id, error, requeue=requeue)
-    return outcomes
-
-
 def run_task(client: CoordinatorClient, store: HttpArtifactStore,
              doc: dict[str, Any]) -> str:
-    """Execute one claimed task document; returns the result source."""
-    outcomes = process_batch(client, store, [doc], batched=False)
-    return outcomes.get(str(doc.get("task_id")), "error")
+    """Execute and settle one claimed task; returns the result source.
 
-
-def next_batch_size(elapsed: float, handled: int, max_batch: int,
-                    target: float = TARGET_BATCH_SECONDS) -> int:
-    """Size the next claim from the chunk just finished.
-
-    ``target / mean_cell_seconds``, clamped to ``[1, max_batch]`` —
-    cheap cells grow the chunk until round trips amortize, expensive
-    cells shrink it back to one so a lost lease re-runs one cell, not
-    sixteen.
+    An undecodable cell nacks terminally, a crashed cell nacks for
+    retry (``"error"``), and store trouble — including an
+    :class:`HttpTransportError` — quietly degrades the cell to
+    ``source: "computed"``.
     """
-    if max_batch <= 1:
-        return 1
-    mean = elapsed / max(handled, 1)
-    if mean <= 0:
-        return max_batch
-    return max(1, min(max_batch, int(target / mean) or 1))
+    task_id = str(doc.get("task_id"))
+    with _Heartbeat(client, interval=max(client.lease / 3.0, 0.5)):
+        cell_doc = doc.get("cell")
+        try:
+            spec = decode_cell(cell_doc if isinstance(cell_doc, dict) else {})
+        except WireError as exc:
+            # Undecodable cells will not improve with retries.
+            client.nack(task_id, f"wire: {exc}", requeue=False)
+            return "error"
+        artifact = doc.get("artifact")
+        use_store = bool(artifact) and spec.cacheable
+        if use_store:
+            try:
+                hit, value = store.fetch(str(artifact))
+            except Exception:  # noqa: BLE001 - store never poisons
+                hit = False
+            if hit:
+                client.ack(task_id, value, "store")
+                return "store"
+        try:
+            value = execute_cell(spec)
+        except Exception as exc:  # noqa: BLE001 - cell isolation
+            client.nack(task_id, f"{type(exc).__name__}: {exc}")
+            return "error"
+        if use_store:
+            try:
+                store.publish(str(artifact), value)
+            except Exception:  # noqa: BLE001 - degrade to computed
+                pass
+        client.ack(task_id, value, "computed")
+        return "computed"
 
 
 def worker_loop(
@@ -404,28 +292,22 @@ def worker_loop(
     lease: float = DEFAULT_LEASE,
     max_tasks: Optional[int] = None,
     say=lambda line: None,
-    max_batch: Optional[int] = None,
     rng: Optional[random.Random] = None,
     obs_push: Optional[str] = None,
 ) -> int:
     """Claim and execute until the queue drains; returns tasks handled."""
-    if max_batch is None:
-        max_batch = default_max_batch()
     rng = rng or random.Random()
     client = CoordinatorClient(url, worker_id, lease=lease)
     store = HttpArtifactStore(url)
-    payloads = PayloadCache()
     telemetry = WorkerTelemetry(obs_push, worker_id)
+    # Jittered, so parallel idle workers spread out instead of
+    # re-colliding on the coordinator together; the small deterministic
+    # floor added to each nap means an idle worker never hot-spins.
+    idle = BackoffState(idle_backoff(poll))
     handled = 0
-    idle_streak = 0
-    batch = 1
     while max_tasks is None or handled < max_tasks:
-        want = batch
-        if max_tasks is not None:
-            want = min(want, max_tasks - handled)
         try:
-            kind, docs = client.claim(
-                max_tasks=want if max_batch > 1 else None)
+            kind, doc = client.claim()
         except HttpTransportError as exc:
             # The coordinator is gone (shutdown race or crash).  Its
             # queue state outlives us either way; exit instead of
@@ -436,30 +318,17 @@ def worker_loop(
         if kind == "drained":
             say("queue drained, exiting")
             break
-        if kind == "idle":
-            # Jittered Ethernet-style backoff: a small deterministic
-            # floor (never a hot spin) plus a uniformly random draw
-            # from a doubling window, so parallel idle workers spread
-            # out instead of re-colliding on the coordinator together.
-            # Truncated at poll*4: past that the collision pressure is
-            # gone and longer naps only delay noticing the drain.
-            nap = (poll * 0.25
-                   + jittered_delay(min(idle_streak, 4), base=poll,
-                                    cap=poll * 4, rng=rng))
+        if doc is None:
+            nap = poll * 0.25 + idle.next_delay(rng.random)
             telemetry.idle_sleep(nap)
             time.sleep(nap)
-            idle_streak += 1
             continue
-        idle_streak = 0
+        idle.reset()
         started = time.perf_counter()
-        outcomes = process_batch(client, store, docs, payloads=payloads,
-                                 batched=max_batch > 1)
-        elapsed = time.perf_counter() - started
-        for task_id, source in outcomes.items():
-            say(f"task {task_id} [{source}]")
-        handled += len(docs)
-        batch = next_batch_size(elapsed, len(docs), max_batch)
-        telemetry.batch_done(outcomes, elapsed, batch)
+        source = run_task(client, store, doc)
+        say(f"task {doc.get('task_id')} [{source}]")
+        handled += 1
+        telemetry.task_done(source, time.perf_counter() - started)
     telemetry.push()
     return handled
 
@@ -477,9 +346,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="requested lease seconds per task")
     parser.add_argument("--max-tasks", type=int, default=None,
                         help="exit after handling N tasks")
-    parser.add_argument("--max-batch", type=int, default=None,
-                        help="cells claimed per exchange ceiling "
-                             "(default: $REPRO_DIST_BATCH toggle)")
     parser.add_argument("--obs-push", default=None, metavar="URL",
                         help="push worker telemetry to a fleet "
                              "aggregator (default $REPRO_OBS_PUSH, or "
@@ -493,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         handled = worker_loop(
             args.url, worker_id, poll=args.poll, lease=args.lease,
-            max_tasks=args.max_tasks, max_batch=args.max_batch, say=say,
+            max_tasks=args.max_tasks, say=say,
             obs_push=resolve_push_url(args.obs_push))
     except WorkerError as exc:
         print(f"worker {worker_id}: fatal: {exc}", file=sys.stderr)

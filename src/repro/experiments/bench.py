@@ -20,9 +20,8 @@ root by convention) so performance is a tracked number from PR to PR:
 * **dist** — the same grid once per ``repro.dist`` backend (in-process,
   work-stealing, socket) at a 2-worker fleet, each against a fresh
   cache, asserting every backend reproduced the serial results; plus a
-  ``throughput`` sub-section rerunning the multiprocess backends with
-  the wire-protocol v2 batching on (``$REPRO_DIST_BATCH=1``) and off
-  (``=0``), so the batched-lease speedup is itself a tracked number;
+  ``throughput`` sub-section timing the two multiprocess backends once
+  more, whose ``cells_per_s`` ``--compare`` floors;
 * **interp** — the interpreter-dispatch micro: a retry-heavy and a
   forall-heavy script driven tree-walk vs over compiled plans
   (``repro.core.compile``) against a canned-effect driver, plus cold vs
@@ -33,7 +32,8 @@ root by convention) so performance is a tracked number from PR to PR:
 schema and the parallel/cached runs reproduced the serial results
 exactly — that is the determinism contract ``repro.parallel`` sells.
 ``--compare OLD.json`` diffs the fresh run against a saved document and
-exits non-zero if any tracked throughput metric dropped more than 25%.
+exits non-zero if any tracked throughput metric dropped more than 25%;
+it reads schema/5 documents too (see :data:`SCHEMA5_PATHS`).
 
 Wall-clock numbers vary by machine; the ``identical`` flags must not.
 """
@@ -50,7 +50,6 @@ import time
 from dataclasses import dataclass
 
 from ..clients.base import ETHERNET
-from ..dist import BATCH_ENV
 from ..clients.scripts import reader_script
 from ..core.compile import compile_cached, compile_script
 from ..core.effects import (
@@ -75,7 +74,7 @@ from ..sim.engine import Engine
 from ..sim.events import Interrupt
 from .runall import SCALES, Scale, campaign_cells
 
-SCHEMA = "repro.bench.campaign/5"
+SCHEMA = "repro.bench.campaign/6"
 
 #: Keys every benchmark document must carry (checked by ``--check``).
 REQUIRED = {
@@ -101,9 +100,19 @@ COMPARE_METRICS = (
     ("engine", "interrupt_churn", "interrupts_per_s"),
     ("interp", "dispatch", "retry", "compiled_attempts_per_s"),
     ("interp", "dispatch", "retry", "speedup"),
-    ("dist", "throughput", "work-stealing", "batched", "cells_per_s"),
-    ("dist", "throughput", "socket", "batched", "cells_per_s"),
+    ("dist", "throughput", "work-stealing", "cells_per_s"),
+    ("dist", "throughput", "socket", "cells_per_s"),
 )
+
+#: Where a schema/5 document kept the metrics that have since moved.
+#: Its ``throughput`` section timed the batched wire (then the default,
+#: and the figure its ``--compare`` floored) beside the single-task
+#: wire; schema/6 has only the single-task wire, one figure a backend.
+SCHEMA5_PATHS = {
+    ("dist", "throughput", backend, "cells_per_s"):
+        ("dist", "throughput", backend, "batched", "cells_per_s")
+    for backend in ("work-stealing", "socket")
+}
 
 #: Fractional throughput drop tolerated by ``--compare`` before failing.
 COMPARE_TOLERANCE = 0.25
@@ -499,62 +508,35 @@ def bench_dist(scale: Scale, seed: int, serial: list,
     Wall-clock overhead vs in-process is machine noise on small grids;
     the ``identical`` flags are the part that must never change.
 
-    ``throughput`` reruns the two multiprocess backends with the wire-
-    protocol v2 batch path forced on and off, so the batching win (and
-    the v1 fallback's health) are both tracked numbers.
+    ``throughput`` times the two multiprocess backends once more; its
+    ``cells_per_s`` is the figure ``--compare`` floors.
     """
     cells = _flat_cells(scale, seed)
     reference = _fingerprint(serial)
 
-    def timed_run(backend: str) -> tuple[float, bool]:
+    def timed_run(backend: str) -> dict:
         with tempfile.TemporaryDirectory(
                 prefix=f"repro-bench-dist-{backend}-") as tmp:
             cache = ResultCache(tmp)
             started = time.perf_counter()
             results = run_cells(cells, jobs=2, cache=cache, backend=backend)
             seconds = time.perf_counter() - started
-        return seconds, _fingerprint(results) == reference
-
-    doc: dict = {"jobs": 2, "backend_overhead": {}, "throughput": {}}
-    for backend in ("inprocess", "work-stealing", "socket"):
-        seconds, identical = timed_run(backend)
-        doc["backend_overhead"][backend] = {
+        return {
             "cells": len(cells),
             "seconds": round(seconds, 3),
             "cells_per_s": (round(len(cells) / seconds, 2)
                             if seconds else None),
-            "overhead_vs_serial": (round(seconds / serial_s, 2)
-                                   if serial_s else None),
-            "identical": identical,
+            "identical": _fingerprint(results) == reference,
         }
 
-    # Batched vs unbatched wire protocol on the multiprocess backends:
-    # the lease-batching speedup as a tracked number.  $REPRO_DIST_BATCH
-    # is restored afterwards so the caller's choice survives the bench.
-    saved = os.environ.get(BATCH_ENV)
-    try:
-        for backend in ("work-stealing", "socket"):
-            entry: dict = {}
-            for mode, value in (("batched", "1"), ("unbatched", "0")):
-                os.environ[BATCH_ENV] = value
-                seconds, identical = timed_run(backend)
-                entry[mode] = {
-                    "cells": len(cells),
-                    "seconds": round(seconds, 3),
-                    "cells_per_s": (round(len(cells) / seconds, 2)
-                                    if seconds else None),
-                    "identical": identical,
-                }
-            batched_s = entry["batched"]["seconds"]
-            entry["speedup"] = (
-                round(entry["unbatched"]["seconds"] / batched_s, 2)
-                if batched_s else None)
-            doc["throughput"][backend] = entry
-    finally:
-        if saved is None:
-            os.environ.pop(BATCH_ENV, None)
-        else:
-            os.environ[BATCH_ENV] = saved
+    doc: dict = {"jobs": 2, "backend_overhead": {}, "throughput": {}}
+    for backend in ("inprocess", "work-stealing", "socket"):
+        entry = timed_run(backend)
+        entry["overhead_vs_serial"] = (round(entry["seconds"] / serial_s, 2)
+                                       if serial_s else None)
+        doc["backend_overhead"][backend] = entry
+    for backend in ("work-stealing", "socket"):
+        doc["throughput"][backend] = timed_run(backend)
     return doc
 
 
@@ -590,11 +572,8 @@ def run_bench(scale_name: str, seed: int, jobs: int | None) -> dict:
             "cache_vs_serial": cache_doc["identical"],
             "dist_vs_serial": all(
                 entry["identical"]
-                for entry in dist_doc["backend_overhead"].values()
-            ) and all(
-                entry[mode]["identical"]
-                for entry in dist_doc["throughput"].values()
-                for mode in ("batched", "unbatched")),
+                for section in ("backend_overhead", "throughput")
+                for entry in dist_doc[section].values()),
             "interp_compiled_vs_tree": interp_doc["identical"],
         },
     }
@@ -644,13 +623,16 @@ def compare_documents(old: dict, new: dict,
 
     Each :data:`COMPARE_METRICS` entry present in *both* documents must
     not drop by more than ``tolerance`` (wall-clock noise is expected;
-    25% is well past it).  Metrics missing from the old document — e.g.
-    a schema/1 file predating the microbench sections — are skipped, so
-    old baselines stay comparable.
+    25% is well past it).  A metric an older schema kept elsewhere is
+    read from there (:data:`SCHEMA5_PATHS`); metrics missing from the
+    old document — e.g. a schema/1 file predating the microbench
+    sections — are skipped, so old baselines stay comparable.
     """
     problems: list[str] = []
     for path in COMPARE_METRICS:
         old_value = _dig(old, path)
+        if old_value is None and path in SCHEMA5_PATHS:
+            old_value = _dig(old, SCHEMA5_PATHS[path])
         new_value = _dig(new, path)
         if not isinstance(old_value, (int, float)) or isinstance(old_value, bool):
             continue

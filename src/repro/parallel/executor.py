@@ -118,13 +118,9 @@ def run_cells(
     applies when no explicit backend is passed.  Every backend honours
     the same contract, scorecards included.
 
-    Dist backends run the wire-protocol v2 hot path by default: workers
-    claim adaptively sized *chunks* of cheap cells, settle them with
-    batched acks over keep-alive connections, and resolve repeated
-    payloads by content digest — all transparent to this contract,
-    since leases, retries, and poison bounds stay per-cell.  Set
-    ``$REPRO_DIST_BATCH=0`` to pin the fleet to the v1 one-request-
-    per-cell protocol (the CI equivalence runs do exactly that).
+    Dist workers claim one cell at a time under a lease and settle it
+    with its own ack over a keep-alive connection; leases, retries, and
+    poison bounds are all per-cell, so none of it shows in the results.
 
     ``cancel`` (a ``threading.Event`` or bool-returning callable) stops
     the campaign between cells: pending work is cancelled, the pool shuts

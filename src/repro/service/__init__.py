@@ -17,9 +17,8 @@ Layering (the diracx routers/logic/client split):
   pinning, lint; plus the pure script cell the executor runs;
 * :mod:`repro.service.jobs` — the in-process async job store
   (content-addressed job ids, dedupe, bounded workers, TTL, cancel);
-* :mod:`repro.service.app` — the framework-agnostic handler core, a
-  stdlib ``ThreadingHTTPServer`` skin, and an optional FastAPI adapter
-  (``pip install repro[service]``);
+* :mod:`repro.service.app` — the framework-agnostic handler core and
+  its stdlib ``ThreadingHTTPServer`` skin;
 * :mod:`repro.service.client` — a small sync client and the submit CLI.
 
 Serve with ``python -m repro.service``; submit with

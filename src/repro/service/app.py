@@ -2,12 +2,9 @@
 
 The routing/handling core (:class:`ServiceApp`) is framework-agnostic:
 ``handle(method, path, body)`` returns ``(status, content_type, body
-bytes)`` and knows nothing about sockets.  Two skins mount it:
-
-* :func:`make_server` — a stdlib ``ThreadingHTTPServer``; zero
-  dependencies, what ``python -m repro.service`` and the tests run;
-* :func:`fastapi_app` — the same handlers on FastAPI for deployments
-  that want ASGI middleware/OpenAPI (``pip install repro[service]``).
+bytes)`` and knows nothing about sockets.  :func:`make_server` mounts
+it on a stdlib ``ThreadingHTTPServer`` — zero dependencies, what
+``python -m repro.service`` and the tests run.
 
 Endpoints::
 
@@ -280,41 +277,3 @@ def make_server(store: JobStore, host: str = "127.0.0.1",
     server.daemon_threads = True
     server.fleet_aggregator = app.aggregator  # type: ignore[attr-defined]
     return server
-
-
-# ---------------------------------------------------------------------------
-# Optional FastAPI adapter (the [service] extra)
-# ---------------------------------------------------------------------------
-
-def fastapi_app(store: JobStore):
-    """The same service as an ASGI app, for ``pip install repro[service]``.
-
-    Mounts one catch-all route that forwards into the exact
-    :class:`ServiceApp` core the stdlib skin uses — the framework adds
-    deployment conveniences (ASGI, middleware), never behaviour.
-    """
-    try:
-        from fastapi import FastAPI, Request, Response
-    except ImportError as exc:  # pragma: no cover - exercised without extra
-        raise RuntimeError(
-            "fastapi is not installed; `pip install repro[service]` "
-            "to use the ASGI adapter (the stdlib server needs nothing)"
-        ) from exc
-
-    app = ServiceApp(store)
-    api = FastAPI(title="repro grid service", version="1")
-
-    @api.api_route(
-        "/{path:path}", methods=["GET", "POST", "DELETE"],
-        include_in_schema=False)
-    async def route(path: str, request: Request) -> Response:
-        body = await request.body()
-        target = "/" + path
-        if request.url.query:
-            target += "?" + request.url.query
-        status, content_type, payload = app.handle(
-            request.method, target, body)
-        return Response(content=payload, status_code=status,
-                        media_type=content_type)
-
-    return api

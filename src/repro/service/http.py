@@ -9,11 +9,12 @@ failure planes cleanly:
   an :class:`HttpResponse`; interpreting the status is the caller's
   business;
 * a *transport* failure (connection refused/reset, DNS, socket timeout)
-  raises :class:`HttpTransportError` — after optional retries with
-  capped exponential backoff, Ethernet-style: the paper's argument is
-  that a client facing a shared service should assume failures are
-  transient and back off before retrying, and our own clients should
-  behave no worse than the simulated ones.
+  raises :class:`HttpTransportError` — after optional retries that
+  sleep on a :class:`~repro.core.backoff.BackoffPolicy`, the same
+  schedule type ftsh's ``try`` runs: the paper's argument is that a
+  client facing a shared service should assume failures are transient
+  and back off before retrying, and our own clients should behave no
+  worse than the simulated ones.
 
 Transport is a process-wide :class:`HttpConnectionPool` of persistent
 keep-alive connections (both stdlib servers in this repo speak
@@ -45,11 +46,20 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
+from ..core.backoff import BackoffPolicy
+
 #: First backoff step, in seconds.
 DEFAULT_BACKOFF = 0.05
 
 #: Ceiling any single backoff sleep is capped at.
 DEFAULT_BACKOFF_CAP = 2.0
+
+#: Transport retries sleep ``DEFAULT_BACKOFF * 2^n`` seconds, capped at
+#: ``DEFAULT_BACKOFF_CAP``: the paper's doubling schedule with the
+#: jitter multiplier pinned to 1.
+RETRY_BACKOFF = BackoffPolicy(base=DEFAULT_BACKOFF, factor=2.0,
+                              ceiling=DEFAULT_BACKOFF_CAP,
+                              jitter_low=1.0, jitter_high=1.0)
 
 #: Idle sockets kept per (scheme, host, port) before extras are closed.
 DEFAULT_MAX_IDLE = 4
@@ -72,29 +82,6 @@ class HttpResponse:
 
     status: int
     body: bytes
-
-
-def backoff_delay(attempt: int, base: float = DEFAULT_BACKOFF,
-                  cap: float = DEFAULT_BACKOFF_CAP) -> float:
-    """Exponential backoff for retry ``attempt`` (0-based), capped."""
-    return min(base * (2 ** attempt), cap)
-
-
-def jittered_delay(attempt: int, base: float = DEFAULT_BACKOFF,
-                   cap: float = DEFAULT_BACKOFF_CAP,
-                   rng: Optional[random.Random] = None) -> float:
-    """Ethernet-style randomised backoff: uniform over ``[0, window]``
-    where the window doubles per attempt (capped).
-
-    This is the paper's own collision discipline dogfooded: a fleet of
-    idle workers polling one coordinator must not fall into lockstep,
-    or every claim round becomes a synchronized stampede.  Spreading
-    each sleep uniformly over the growing window desynchronizes them
-    exactly the way Ethernet's truncated binary exponential backoff
-    desynchronizes transmitters.
-    """
-    draw = rng.random() if rng is not None else random.random()
-    return draw * backoff_delay(attempt, base, cap)
 
 
 #: Transport-plane exceptions: the request died without an HTTP status.
@@ -179,8 +166,7 @@ class HttpConnectionPool:
         headers: Optional[Mapping[str, str]] = None,
         timeout: float = 30.0,
         retries: int = 0,
-        backoff: float = DEFAULT_BACKOFF,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
+        backoff: BackoffPolicy = RETRY_BACKOFF,
         sleep: Callable[[float], None] = time.sleep,
     ) -> HttpResponse:
         """One HTTP exchange over a pooled connection; see module doc."""
@@ -218,8 +204,8 @@ class HttpConnectionPool:
                 if attempt >= retries:
                     raise HttpTransportError(
                         url, reason, attempts=attempt + 1) from None
-                sleep(backoff_delay(attempt, backoff, backoff_cap))
                 attempt += 1
+                sleep(backoff.delay(attempt, random.random))
                 continue
             if response.will_close:
                 conn.close()
@@ -242,15 +228,14 @@ def http_request(
     headers: Optional[Mapping[str, str]] = None,
     timeout: float = 30.0,
     retries: int = 0,
-    backoff: float = DEFAULT_BACKOFF,
-    backoff_cap: float = DEFAULT_BACKOFF_CAP,
+    backoff: BackoffPolicy = RETRY_BACKOFF,
     sleep: Callable[[float], None] = time.sleep,
     pool: Optional[HttpConnectionPool] = None,
 ) -> HttpResponse:
     """One HTTP exchange; retries transient transport failures.
 
     Rides the shared keep-alive pool (or ``pool``), sleeping
-    ``backoff * 2^n`` (capped) between attempts on transport failures.
+    ``backoff.delay(n)`` before retry ``n`` on transport failures.
     HTTP error statuses are *returned*, never retried — a 500 is an
     answer, not an outage.  Non-HTTP schemes fall back to a one-shot
     urllib exchange with the same retry discipline.
@@ -260,14 +245,13 @@ def http_request(
         chosen = pool if pool is not None else SHARED_POOL
         return chosen.request(
             url, method=method, body=body, headers=headers,
-            timeout=timeout, retries=retries, backoff=backoff,
-            backoff_cap=backoff_cap, sleep=sleep)
+            timeout=timeout, retries=retries, backoff=backoff, sleep=sleep)
     return _urllib_request(url, method, body, headers, timeout,
-                           retries, backoff, backoff_cap, sleep)
+                           retries, backoff, sleep)
 
 
 def _urllib_request(url, method, body, headers, timeout, retries,
-                    backoff, backoff_cap, sleep) -> HttpResponse:
+                    backoff, sleep) -> HttpResponse:
     """The pre-pool path, kept for exotic schemes urllib understands."""
     attempt = 0
     while True:
@@ -286,5 +270,5 @@ def _urllib_request(url, method, body, headers, timeout, retries,
             if attempt >= retries:
                 raise HttpTransportError(
                     url, reason, attempts=attempt + 1) from None
-            sleep(backoff_delay(attempt, backoff, backoff_cap))
             attempt += 1
+            sleep(backoff.delay(attempt, random.random))

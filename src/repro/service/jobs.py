@@ -1,7 +1,7 @@
 """The in-process async job store: admission to result, one object.
 
 An asyncio core on a dedicated thread (so the stdlib HTTP skin's
-threads and the optional FastAPI adapter drive the same machinery):
+handler threads all drive the same machinery):
 bounded worker tasks pull admitted jobs off a queue and execute their
 cells through :func:`repro.parallel.run_cells` on a thread pool, with
 the content-addressed result cache underneath.

@@ -2,7 +2,7 @@
 
 Plain dataclasses with explicit ``to_jsonable``/``from_jsonable``
 round-trips — no framework types — so the same models serve the stdlib
-HTTP skin, the optional FastAPI adapter, and the client.  Serialization
+HTTP skin and the client.  Serialization
 reuses :func:`repro.parallel.transport.to_jsonable` for result payloads
 and :func:`repro.parallel.cache.canonical_json` for the content hashes
 that make job ids deterministic: two byte-identical submissions are the

@@ -1,12 +1,14 @@
 """The coordinator HTTP app: worker protocol over handle(), no socket."""
 
 import json
+import time
 
-from repro.dist.coordinator import CoordinatorApp
+from repro.dist.coordinator import CoordinatorApp, CoordinatorServer
 from repro.dist.queue import TaskQueue
 from repro.dist.store import MemoryArtifactStore
-from repro.dist.wire import PayloadTable, encode_blob, encode_cell
+from repro.dist.wire import encode_blob, encode_cell
 from repro.parallel.executor import CellSpec
+from repro.service.http import http_request
 
 
 def square(x):
@@ -75,119 +77,22 @@ class TestClaimCycle:
         assert status == 200
         assert body["state"] == "failed"
 
+    def test_undecodable_result_is_400_and_keeps_the_lease(self):
+        app, queue = make_app()
+        task = queue.submit({}, key="a")
+        post(app, "/queue/claim", {"worker": "w0"})
+        status, body = post(app, f"/queue/tasks/{task.task_id}/ack",
+                            {"worker": "w0", "result": "not a blob!!"})
+        assert status == 400
+        assert body["error"]["code"] == "wire"
+        assert task.state == "claimed"  # the lease will expire it back
+
     def test_heartbeat_reports_extensions(self):
         app, queue = make_app()
         queue.submit({}, key="a")
         post(app, "/queue/claim", {"worker": "w0"})
         status, body = post(app, "/queue/heartbeat", {"worker": "w0"})
         assert (status, body["extended"]) == (200, 1)
-
-
-class TestBatchedProtocol:
-    """Wire-protocol v2: chunked claims, batched settles, payloads."""
-
-    def submit_squares(self, queue, values):
-        return [queue.submit(encode_cell(
-            CellSpec(key=f"t/sq/{v}", fn=square, args=(v,))),
-            key=f"t/sq/{v}") for v in values]
-
-    def test_claim_with_max_returns_a_chunk(self):
-        app, queue = make_app()
-        tasks = self.submit_squares(queue, [1, 2, 3])
-        status, body = post(app, "/queue/claim", {"worker": "w0", "max": 2})
-        assert status == 200
-        assert [t["task_id"] for t in body["tasks"]] \
-            == [t.task_id for t in tasks[:2]]
-
-    def test_claim_max_is_clamped_by_the_server(self):
-        from repro.dist.coordinator import MAX_CLAIM_BATCH
-
-        app, queue = make_app()
-        self.submit_squares(queue, range(MAX_CLAIM_BATCH + 10))
-        status, body = post(app, "/queue/claim",
-                            {"worker": "greedy", "max": 10_000})
-        assert status == 200
-        assert len(body["tasks"]) == MAX_CLAIM_BATCH
-
-    def test_batched_claim_of_empty_queue_is_204_then_410(self):
-        app, queue = make_app()
-        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 8})
-        assert status == 204
-        queue.drain()
-        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 8})
-        assert status == 410
-
-    def test_ack_many_settles_and_reports_stale(self):
-        app, queue = make_app()
-        claimed, unclaimed = self.submit_squares(queue, [4, 5])
-        post(app, "/queue/claim", {"worker": "w0"})
-        status, body = post(app, "/queue/ack_many", {
-            "worker": "w0",
-            "acks": [
-                {"task_id": claimed.task_id,
-                 "result": encode_blob(16), "source": "computed"},
-                {"task_id": unclaimed.task_id,
-                 "result": encode_blob(25), "source": "computed"},
-            ]})
-        assert status == 200
-        assert body == {"acked": [claimed.task_id],
-                        "stale": [unclaimed.task_id], "rejected": []}
-        assert claimed.result == 16
-
-    def test_undecodable_result_is_rejected_not_fatal(self):
-        """The bugfix contract at the HTTP layer: one bad entry is
-        reported in ``rejected`` while its batchmates land."""
-        app, queue = make_app()
-        good, bad = self.submit_squares(queue, [6, 7])
-        post(app, "/queue/claim", {"worker": "w0", "max": 2})
-        status, body = post(app, "/queue/ack_many", {
-            "worker": "w0",
-            "acks": [
-                {"task_id": good.task_id,
-                 "result": encode_blob(36), "source": "computed"},
-                {"task_id": bad.task_id,
-                 "result": "not a blob!!", "source": "computed"},
-            ]})
-        assert status == 200
-        assert body == {"acked": [good.task_id], "stale": [],
-                        "rejected": [bad.task_id]}
-        assert good.result == 36
-        assert bad.state == "claimed"  # lease will expire it back
-
-    def test_nack_many_returns_per_task_states(self):
-        app, queue = make_app()
-        (task,) = self.submit_squares(queue, [8])
-        post(app, "/queue/claim", {"worker": "w0"})
-        status, body = post(app, "/queue/nack_many", {
-            "worker": "w0",
-            "nacks": [{"task_id": task.task_id, "error": "boom",
-                       "requeue": True},
-                      {"task_id": "ghost", "error": "x", "requeue": True}]})
-        assert status == 200
-        assert body["states"] == {task.task_id: "pending", "ghost": "stale"}
-
-    def test_ack_many_requires_a_list(self):
-        app, _ = make_app()
-        status, body = post(app, "/queue/ack_many",
-                            {"worker": "w0", "acks": "nope"})
-        assert status == 400
-        assert body["error"]["code"] == "bad-request"
-
-    def test_payload_endpoint_serves_published_blobs(self):
-        queue = TaskQueue(lease=10.0)
-        payloads = PayloadTable()
-        app = CoordinatorApp(queue, MemoryArtifactStore(), payloads=payloads)
-        digest = payloads.put_text("payload-text")
-        status, content_type, body = app.handle("GET", f"/payload/{digest}")
-        assert (status, content_type) == (200, "text/plain")
-        assert body == b"payload-text"
-        status, _, _ = app.handle("GET", "/payload/" + "0" * 64)
-        assert status == 404
-
-    def test_payload_endpoint_without_table_is_404(self):
-        app, _ = make_app()
-        status, _, _ = app.handle("GET", "/payload/" + "0" * 64)
-        assert status == 404
 
 
 class TestValidationAndStatus:
@@ -227,10 +132,9 @@ class TestValidationAndStatus:
         queue.submit(encode_cell(
             CellSpec(key="t/sq/10", fn=square, args=(10,))), key="t/sq/10")
         post(app, "/queue/claim", {"worker": "w0"})
-        post(app, "/queue/ack_many", {
-            "worker": "w0",
-            "acks": [{"task_id": task.task_id,
-                      "result": encode_blob(81), "source": "computed"}]})
+        post(app, f"/queue/tasks/{task.task_id}/ack",
+             {"worker": "w0", "result": encode_blob(81),
+              "source": "computed"})
         _, _, payload = app.handle("GET", "/queue/status")
         doc = json.loads(payload.decode())
         assert doc["queue"] == {"depth": 1, "in_flight": 0}
@@ -242,7 +146,6 @@ class TestValidationAndStatus:
         # never holds compressed here, but both counters saw it.
         assert doc["wire"]["blob_wire_bytes"] > 0
         assert doc["wire"]["blob_raw_bytes"] > 0
-        assert doc["payloads"] is None
 
     def test_healthz(self):
         app, _ = make_app()
@@ -268,3 +171,19 @@ class TestArtifacts:
         app, _ = make_app()
         status, _, _ = app.handle("PUT", "/artifacts/k", b"garbage")
         assert status == 400
+
+
+class TestServerLifecycle:
+    def test_close_returns_within_a_tenth_of_a_second(self):
+        """close() must not wait out a long serve-loop poll.  Each
+        server answers one request first, so the loop has just begun
+        a fresh poll when close() lands."""
+        closes = []
+        for _ in range(3):
+            server = CoordinatorServer(TaskQueue(), MemoryArtifactStore())
+            url = server.start()
+            assert http_request(url + "/healthz", timeout=5.0).status == 200
+            started = time.perf_counter()
+            server.close()
+            closes.append(time.perf_counter() - started)
+        assert max(closes) < 0.1, closes

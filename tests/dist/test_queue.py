@@ -142,96 +142,29 @@ class TestLeases:
         assert again.task_id == task.task_id
         assert again.worker == "w1"
 
-
-class TestBatchedLeases:
-    """Wire-protocol v2 queue ops: batched delivery, per-task semantics."""
-
-    def test_claim_many_hands_out_fifo_chunks(self):
-        queue, _ = make_queue()
-        for name in ("a", "b", "c", "d", "e"):
-            queue.submit({}, key=name)
-        first = queue.claim_many("w0", 3)
-        assert [t.key for t in first] == ["a", "b", "c"]
-        # Asking past the queue depth is a partial chunk, not an error.
-        rest = queue.claim_many("w0", 10)
-        assert [t.key for t in rest] == ["d", "e"]
-        assert queue.claim_many("w0", 4) == []
-
-    def test_claim_many_each_task_gets_own_lease(self):
-        queue, clock = make_queue(lease=10.0)
-        queue.submit({}, key="a")
-        queue.submit({}, key="b")
-        tasks = queue.claim_many("w0", 2, lease=3.0)
-        assert all(t.deadline == clock.now + 3.0 for t in tasks)
-
-    def test_claim_many_validates_inputs(self):
-        queue, _ = make_queue()
-        with pytest.raises(QueueError):
-            queue.claim_many("", 2)
-        with pytest.raises(QueueError):
-            queue.claim_many("w0", 0)
-
     def test_claim_piggybacks_a_heartbeat(self):
         """Coming back for more work extends what the worker holds."""
         queue, clock = make_queue(lease=10.0)
         queue.submit({}, key="a")
         queue.submit({}, key="b")
-        held = queue.claim_many("w0", 1)[0]
+        held = queue.claim("w0")
         clock.advance(8.0)
-        queue.claim_many("w0", 1)  # would expire 'a' at t=10 otherwise
+        queue.claim("w0")  # would expire 'a' at t=10 otherwise
         clock.advance(8.0)
         assert queue.reap_expired() == []
         assert held.state == CLAIMED
 
-    def test_ack_many_skips_stale_entries(self):
-        """Lease expiry mid-batch voids that entry, not the batch."""
-        queue, clock = make_queue(lease=5.0)
-        kept = queue.submit({}, key="kept")
-        lost = queue.submit({}, key="lost")
-        queue.claim_many("w0", 2)
-        clock.advance(5.1)
-        queue.reap_expired()           # both go back to pending
-        queue.claim_many("w1", 1)      # w1 now owns 'kept'
-        # w1 settles 'kept'; its entry for 'lost' (never re-claimed by
-        # it) and w0's whole late batch both report stale, nobody raises.
-        acked, stale = queue.ack_many(
-            "w1", [(kept.task_id, 1, "computed"),
-                   (lost.task_id, 2, "computed")])
-        assert (acked, stale) == ([kept.task_id], [lost.task_id])
-        late_acked, late_stale = queue.ack_many(
-            "w0", [(kept.task_id, 9, "computed")])
-        assert (late_acked, late_stale) == ([], [kept.task_id])
-        assert (kept.state, kept.result) == (DONE, 1)
 
-    def test_nack_many_poison_bound_is_per_cell(self):
-        """One cell exhausting its attempts fails alone in a chunk."""
-        queue, _ = make_queue(max_attempts=2)
-        poison = queue.submit({}, key="poison")
-        healthy = queue.submit({}, key="healthy")
-        queue.claim_many("w0", 2)
-        queue.nack_many("w0", [(poison.task_id, "boom", True)])
-        queue.claim_many("w0", 1)  # poison again, second attempt
-        states = queue.nack_many(
-            "w0", [(poison.task_id, "boom", True),
-                   (healthy.task_id, "collateral", True),
-                   ("no-such-task", "ghost", True)])
-        assert states == {poison.task_id: FAILED,
-                          healthy.task_id: PENDING,
-                          "no-such-task": "stale"}
-        assert queue.failures() == [poison]
-        # The healthy cell is claimable again.
-        assert queue.claim("w1").key == "healthy"
-
+class TestDrainAndStats:
     def test_depth_and_in_flight_track_the_queue(self):
         queue, _ = make_queue()
         for name in ("a", "b", "c"):
             queue.submit({}, key=name)
         assert (queue.depth(), queue.in_flight()) == (3, 0)
-        queue.claim_many("w0", 2)
+        queue.claim("w0")
+        queue.claim("w0")
         assert (queue.depth(), queue.in_flight()) == (1, 2)
 
-
-class TestDrainAndStats:
     def test_drain_refuses_submissions(self):
         queue, _ = make_queue()
         queue.drain()

@@ -4,10 +4,7 @@ import pytest
 
 from repro.dist.wire import (
     COMPRESS_MIN,
-    PayloadCache,
-    PayloadTable,
     WireError,
-    blob_digest,
     decode_blob,
     decode_blob_ex,
     decode_cell,
@@ -64,42 +61,6 @@ class TestCompression:
             decode_blob("z:not!!valid")
 
 
-class TestPayloadTable:
-    def test_put_dedupes_by_content(self):
-        table = PayloadTable()
-        text = encode_blob(list(range(100)))
-        first = table.put_text(text)
-        assert table.put_text(text) == first == blob_digest(text)
-        assert len(table) == 1
-
-    def test_get_counts_serves_and_misses_are_none(self):
-        table = PayloadTable()
-        digest = table.put_text("abcd")
-        assert table.get(digest) == "abcd"
-        assert table.get("feed" * 16) is None
-        assert table.stats() == {"payloads": 1, "bytes": 4, "served": 1}
-
-
-class TestPayloadCache:
-    def test_lru_eviction_by_byte_budget(self):
-        cache = PayloadCache(max_bytes=10)
-        cache.put("a", "x" * 6)
-        cache.put("b", "y" * 6)  # 12 bytes > 10: 'a' evicted
-        assert cache.get("a") is None
-        assert cache.get("b") == "y" * 6
-        assert cache.evictions == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_touch_refreshes_recency(self):
-        cache = PayloadCache(max_bytes=12)
-        cache.put("a", "x" * 6)
-        cache.put("b", "y" * 6)
-        cache.get("a")           # 'a' is now most recent
-        cache.put("c", "z" * 6)  # evicts 'b', not 'a'
-        assert cache.get("a") is not None
-        assert cache.get("b") is None
-
-
 class TestFnResolution:
     def test_name_roundtrip(self):
         name = fn_name(square)
@@ -133,52 +94,5 @@ class TestCells:
     def test_missing_fields_rejected(self):
         with pytest.raises(WireError):
             decode_cell({"key": "x"})
-
-
-class TestDigestCells:
-    """Content-addressed payloads: the v2 large-argument path."""
-
-    def big_spec(self):
-        return CellSpec(key="t/big", fn=square, args=(list(range(2000)),))
-
-    def test_large_args_travel_by_digest(self):
-        table = PayloadTable()
-        doc = encode_cell(self.big_spec(), payloads=table)
-        assert "blob" not in doc
-        assert blob_digest(table.get(doc["blob_digest"])) \
-            == doc["blob_digest"]
-        rebuilt = decode_cell(doc, fetch=table.get)
-        assert rebuilt.args == (list(range(2000)),)
-
-    def test_small_cells_stay_inline_despite_a_table(self):
-        table = PayloadTable()
-        doc = encode_cell(CellSpec(key="t/sq", fn=square, args=(3,)),
-                          payloads=table)
-        assert "blob" in doc
-        assert len(table) == 0
-
-    def test_fetch_is_memoized_in_the_worker_cache(self):
-        table = PayloadTable()
-        doc = encode_cell(self.big_spec(), payloads=table)
-        cache = PayloadCache()
-        fetches = []
-
-        def fetch(digest):
-            fetches.append(digest)
-            return table.get(digest)
-
-        decode_cell(doc, payloads=cache, fetch=fetch)
-        decode_cell(doc, payloads=cache, fetch=fetch)
-        assert fetches == [doc["blob_digest"]]  # second decode was a hit
-
-    def test_digest_mismatch_rejected(self):
-        table = PayloadTable()
-        doc = encode_cell(self.big_spec(), payloads=table)
-        with pytest.raises(WireError, match="digest mismatch"):
-            decode_cell(doc, fetch=lambda _d: encode_blob(((1,), {})))
-
-    def test_digest_without_fetcher_rejected(self):
-        table = PayloadTable()
-        doc = encode_cell(self.big_spec(), payloads=table)
-        with pytest.raises(WireError, match="no payload fetcher"):
-            decode_cell(doc)
+        with pytest.raises(WireError, match="blob"):
+            decode_cell({"key": "x", "fn": fn_name(square)})

@@ -1,17 +1,22 @@
-"""The worker loop's batched hot path: chunk sizing, per-cell guards,
-and the store-degradation contract.
+"""The worker's per-cell path: store guards, settle verbs, and the
+transport retries that keep one dropped connection from killing a
+worker.
 
-``process_batch`` is exercised against stub clients/stores so every
-edge is deterministic; the live-wire paths are covered by the backend
-and determinism suites.
+``run_task`` is exercised against stub clients/stores so every edge is
+deterministic; the settle-retry tests drive ``worker_loop`` against a
+live coordinator with one injected transport failure.
 """
 
-import pytest
+import http.client
 
+import repro.service.http as http_module
+from repro.dist.coordinator import CoordinatorServer
+from repro.dist.queue import DONE, PENDING, TaskQueue
+from repro.dist.store import MemoryArtifactStore
 from repro.dist.wire import encode_cell
-from repro.dist.worker import next_batch_size, process_batch
+from repro.dist.worker import run_task, worker_loop
 from repro.parallel.executor import CellSpec
-from repro.service.http import HttpTransportError
+from repro.service.http import HttpConnectionPool, HttpTransportError
 
 
 def square(x):
@@ -23,7 +28,7 @@ def boom(x):
 
 
 class StubClient:
-    """Records the settle calls process_batch makes."""
+    """Records the settle calls run_task makes."""
 
     lease = 30.0
 
@@ -35,21 +40,11 @@ class StubClient:
     def heartbeat(self):
         self.heartbeats += 1
 
-    def ack_many(self, acks):
-        self.acked.extend(acks)
-        return []
-
-    def nack_many(self, nacks):
-        self.nacked.extend(nacks)
-
     def ack(self, task_id, result, source):
         self.acked.append((task_id, result, source))
 
     def nack(self, task_id, error, requeue=True):
         self.nacked.append((task_id, error, requeue))
-
-    def payload(self, digest):
-        raise AssertionError(f"unexpected payload fetch: {digest}")
 
 
 class StubStore:
@@ -80,27 +75,8 @@ def task_doc(task_id, spec, artifact=None):
             "artifact": artifact}
 
 
-class TestNextBatchSize:
-    def test_cheap_cells_grow_toward_the_cap(self):
-        # 10ms cells against a 0.5s target: 50 would fit, cap is 16.
-        assert next_batch_size(0.08, 8, 16, target=0.5) == 16
-
-    def test_expensive_cells_shrink_to_one(self):
-        assert next_batch_size(4.0, 2, 16, target=0.5) == 1
-
-    def test_moderate_cells_land_in_between(self):
-        # 0.1s cells: five of them fill the 0.5s target.
-        assert next_batch_size(0.4, 4, 16, target=0.5) == 5
-
-    def test_batching_disabled_stays_at_one(self):
-        assert next_batch_size(0.0, 4, 1, target=0.5) == 1
-
-    def test_instant_cells_do_not_divide_by_zero(self):
-        assert next_batch_size(0.0, 4, 16, target=0.5) == 16
-
-
-class TestProcessBatch:
-    def test_mixed_batch_settles_each_cell_on_its_own_terms(self):
+class TestRunTask:
+    def test_each_cell_settles_on_its_own_terms(self):
         client = StubClient()
         store = StubStore(contents={"art-hit": 99})
         docs = [
@@ -111,9 +87,8 @@ class TestProcessBatch:
             task_doc("t3", CellSpec(key="crash", fn=boom, args=(1,))),
             {"task_id": "t4", "cell": {"key": "bad"}},  # undecodable
         ]
-        outcomes = process_batch(client, store, docs)
-        assert outcomes == {"t1": "store", "t2": "computed",
-                            "t3": "error", "t4": "error"}
+        sources = [run_task(client, store, doc) for doc in docs]
+        assert sources == ["store", "computed", "error", "error"]
         assert client.acked == [("t1", 99, "store"), ("t2", 9, "computed")]
         # The crash retries; the wire-bad doc is terminal.
         assert [(t, r) for t, _e, r in client.nacked] \
@@ -121,42 +96,64 @@ class TestProcessBatch:
         assert store.published == [("art-miss", 9)]
 
     def test_store_transport_failure_degrades_to_computed(self):
-        """The bugfix satellite's regression test: an
-        HttpTransportError from the store mid-batch must not poison the
-        batch — every cell still settles, that cell as ``computed``."""
+        """An HttpTransportError from the store must not fail the cell:
+        it still settles, as ``computed``."""
         client = StubClient()
         store = StubStore(
             fetch_raises=HttpTransportError("http://dead:9", "refused"),
             publish_raises=HttpTransportError("http://dead:9", "refused"))
-        docs = [
-            task_doc("t1", CellSpec(key="a", fn=square, args=(4,)),
-                     artifact="art-a"),
-            task_doc("t2", CellSpec(key="b", fn=square, args=(5,)),
-                     artifact="art-b"),
-        ]
-        outcomes = process_batch(client, store, docs)
-        assert outcomes == {"t1": "computed", "t2": "computed"}
-        assert client.acked == [("t1", 16, "computed"),
-                                ("t2", 25, "computed")]
+        doc = task_doc("t1", CellSpec(key="a", fn=square, args=(4,)),
+                       artifact="art-a")
+        assert run_task(client, store, doc) == "computed"
+        assert client.acked == [("t1", 16, "computed")]
         assert client.nacked == []
 
     def test_uncacheable_cells_skip_the_store_entirely(self):
         client = StubClient()
         store = StubStore(fetch_raises=AssertionError("must not be called"))
         spec = CellSpec(key="nc", fn=square, args=(6,), cacheable=False)
-        outcomes = process_batch(
-            client, store, [task_doc("t1", spec, artifact="art")])
-        assert outcomes == {"t1": "computed"}
+        assert run_task(client, store,
+                        task_doc("t1", spec, artifact="art")) == "computed"
         assert client.acked == [("t1", 36, "computed")]
 
-    def test_unbatched_mode_settles_per_task(self):
-        client = StubClient()
-        singles = []
-        client.ack = lambda t, r, s: singles.append(("ack", t))
-        client.nack = lambda t, e, requeue=True: singles.append(("nack", t))
-        client.ack_many = lambda acks: pytest.fail("batched verb used")
-        client.nack_many = lambda nacks: pytest.fail("batched verb used")
-        docs = [task_doc("t1", CellSpec(key="a", fn=square, args=(2,))),
-                task_doc("t2", CellSpec(key="b", fn=boom, args=(1,)))]
-        process_batch(client, StubStore(), docs, batched=False)
-        assert singles == [("ack", "t1"), ("nack", "t2")]
+
+class TestSettleRetries:
+    """One transport failure on an ack or nack costs a retry, not the
+    worker: the settle is re-sent, and a re-sent settle that lands on
+    an already-settled lease is a 409 the worker drops."""
+
+    def run_one_task(self, monkeypatch, spec, verb):
+        # A pool that parks no sockets: every exchange dials fresh, so
+        # the injected failure is not absorbed by the free replay a
+        # stale keep-alive gets.
+        monkeypatch.setattr(http_module, "SHARED_POOL",
+                            HttpConnectionPool(max_idle_per_host=0))
+        real_request = http.client.HTTPConnection.request
+        failed = []
+
+        def flaky(conn, method, url, *args, **kwargs):
+            if url.endswith("/" + verb) and not failed:
+                failed.append(url)
+                raise ConnectionResetError("connection reset by peer")
+            return real_request(conn, method, url, *args, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", flaky)
+        queue = TaskQueue(lease=30.0)
+        task = queue.submit(encode_cell(spec), key=spec.key)
+        with CoordinatorServer(queue, MemoryArtifactStore()) as url:
+            handled = worker_loop(url, "w0", max_tasks=1)
+        assert failed, f"no {verb} request was sent"
+        assert handled == 1
+        return task
+
+    def test_ack_survives_one_transport_failure(self, monkeypatch):
+        task = self.run_one_task(
+            monkeypatch, CellSpec(key="sq", fn=square, args=(7,)), "ack")
+        assert (task.state, task.result) == (DONE, 49)
+
+    def test_nack_survives_one_transport_failure(self, monkeypatch):
+        task = self.run_one_task(
+            monkeypatch, CellSpec(key="crash", fn=boom, args=(3,)), "nack")
+        assert task.state == PENDING
+        assert "cell exploded on 3" in task.error
+

@@ -29,7 +29,7 @@ class TestDisabled:
         # Every hook must be callable without a registry behind it.
         telemetry.claim("lease")
         telemetry.idle_sleep(0.5)
-        telemetry.batch_done({"c1": "executed"}, 1.0, 4)
+        telemetry.task_done("computed", 1.0)
         telemetry.push()
 
     def test_no_url_means_disabled(self):
@@ -44,12 +44,12 @@ class TestEnabled:
         telemetry.claim("lease")
         telemetry.claim("empty")
         telemetry.idle_sleep(0.25)
-        telemetry.batch_done({"c1": "executed", "c2": "cached"},
-                             elapsed=2.0, next_batch=8)
+        telemetry.task_done("computed", elapsed=1.5)
+        telemetry.task_done("store", elapsed=0.5)
         snap = agg.snapshot()
         source = snap["sources"]["worker/w0"]
         assert source["labels"]["component"] == "dist-worker"
-        assert source["batches"] == 1
+        assert source["batches"] == 2
         # busy/elapsed counter pair drives utilisation; elapsed is real
         # wall time here so just check the ratio is sane and positive.
         assert source["busy_seconds"] == pytest.approx(2.0)
@@ -59,8 +59,8 @@ class TestEnabled:
     def test_repeated_pushes_stay_cumulative(self, live_aggregator):
         agg, url = live_aggregator
         telemetry = WorkerTelemetry(url, "w1")
-        telemetry.batch_done({"c1": "executed"}, elapsed=1.0, next_batch=4)
-        telemetry.batch_done({"c2": "executed"}, elapsed=1.0, next_batch=4)
+        telemetry.task_done("computed", elapsed=1.0)
+        telemetry.task_done("computed", elapsed=1.0)
         telemetry.push()
         source = agg.snapshot()["sources"]["worker/w1"]
         assert source["last_seq"] == 3
@@ -70,5 +70,5 @@ class TestEnabled:
     def test_unreachable_aggregator_never_raises(self):
         telemetry = WorkerTelemetry("http://127.0.0.1:9", "w2")
         telemetry._pusher.timeout = 0.5
-        telemetry.batch_done({"c1": "executed"}, elapsed=1.0, next_batch=4)
+        telemetry.task_done("computed", elapsed=1.0)
         assert telemetry._pusher.failed == 1

@@ -1,6 +1,6 @@
 """Property tests for the dist wire encoding.
 
-The batched protocol ships every result and payload through
+The worker protocol ships every result and cell payload through
 ``encode_blob``/``decode_blob`` — sometimes zlib-compressed, sometimes
 plain — so the round trip must be the identity for any picklable value
 regardless of which encoding the size heuristic picks.
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.dist.wire import (
     COMPRESS_MIN,
-    blob_digest,
     decode_blob,
     decode_blob_ex,
     encode_blob,
@@ -55,13 +54,6 @@ def test_large_blobs_roundtrip_whatever_encoding_wins(payload):
     assert value == payload
     assert wire == len(text)
     assert raw >= len(payload)
-
-
-@given(value=values)
-def test_digest_is_stable_and_content_addressed(value):
-    text = encode_blob(value)
-    assert blob_digest(text) == blob_digest(text)
-    assert len(blob_digest(text)) == 64
 
 
 @given(repeated=st.text(min_size=1, max_size=4))

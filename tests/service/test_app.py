@@ -247,19 +247,3 @@ class TestSocketEndToEnd:
             finally:
                 server.shutdown()
                 server.server_close()
-
-
-class TestFastApiAdapter:
-    def test_adapter_gated_on_import(self):
-        # The container deliberately has no fastapi: the adapter must
-        # fail with an actionable message, never at module import.
-        from repro.service.app import fastapi_app
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            with JobStore(workers=1) as store:
-                with pytest.raises(RuntimeError, match="service"):
-                    fastapi_app(store)
-        else:  # pragma: no cover - only runs with the extra installed
-            with JobStore(workers=1) as store:
-                assert fastapi_app(store) is not None

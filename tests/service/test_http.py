@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from repro.core.backoff import BackoffPolicy
+from repro.dist.worker import idle_backoff
 from repro.obs import Observability
 from repro.parallel.cache import ResultCache
 from repro.service.app import MAX_EVENT_WAIT, ServiceApp, make_server
@@ -15,11 +17,10 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import (
     DEFAULT_BACKOFF,
     DEFAULT_BACKOFF_CAP,
+    RETRY_BACKOFF,
     HttpConnectionPool,
     HttpTransportError,
-    backoff_delay,
     http_request,
-    jittered_delay,
 )
 from repro.service.jobs import JobStore
 from repro.service.sandbox import SandboxPolicy
@@ -38,31 +39,61 @@ def wait_terminal(store, job_id, timeout=30.0):
     raise AssertionError(f"job {job_id} not terminal after {timeout}s")
 
 
+def capped_doubling(attempt, base, cap):
+    """Retry ``attempt`` (0-based): ``base * 2^attempt``, capped."""
+    return min(base * (2 ** attempt), cap)
+
+
 class TestBackoffDelay:
+    """Transport retries: the un-jittered doubling schedule."""
+
     def test_doubles_from_base(self):
-        assert [backoff_delay(n, base=0.1, cap=10.0) for n in range(4)] \
+        policy = BackoffPolicy(base=0.1, factor=2.0, ceiling=10.0,
+                               jitter_low=1.0, jitter_high=1.0)
+        assert [policy.delay(n, random.random) for n in range(1, 5)] \
             == [0.1, 0.2, 0.4, 0.8]
 
     def test_cap_is_a_ceiling(self):
-        assert backoff_delay(30) == DEFAULT_BACKOFF_CAP
-        assert backoff_delay(0) == DEFAULT_BACKOFF
+        assert RETRY_BACKOFF.delay(31, random.random) == DEFAULT_BACKOFF_CAP
+        assert RETRY_BACKOFF.delay(1, random.random) == DEFAULT_BACKOFF
 
 
 class TestJitteredDelay:
+    """The dist worker's idle naps: a uniform draw from a doubling,
+    truncated window."""
+
     def test_draw_is_bounded_by_the_backoff_window(self):
         rng = random.Random(2003)
+        policy = idle_backoff(0.1)
         for attempt in range(8):
-            window = backoff_delay(attempt, base=0.1, cap=1.0)
+            window = capped_doubling(attempt, 0.1, 0.4)
             for _ in range(50):
-                draw = jittered_delay(attempt, base=0.1, cap=1.0, rng=rng)
+                draw = policy.delay(attempt + 1, rng.random)
                 assert 0.0 <= draw <= window
 
     def test_windows_spread_not_collide(self):
         """Two workers with different rngs must not sleep in lockstep —
         that is the whole point of the jitter."""
-        a = [jittered_delay(3, rng=random.Random(1)) for _ in range(10)]
-        b = [jittered_delay(3, rng=random.Random(2)) for _ in range(10)]
+        policy = idle_backoff(0.1)
+        rng_a, rng_b = random.Random(1), random.Random(2)
+        a = [policy.delay(4, rng_a.random) for _ in range(10)]
+        b = [policy.delay(4, rng_b.random) for _ in range(10)]
         assert a != b
+
+    @pytest.mark.parametrize("seed", [1, 7, 2003])
+    def test_seeded_sequences_match_the_closed_forms(self, seed):
+        """Jitter [0, 1) is ``U[0, 1) * min(base * 2^n, cap)`` and
+        [1, 1] is ``min(base * 2^n, cap)``, draw for draw."""
+        base, cap = 0.05, 2.0
+        jittered = BackoffPolicy(base=base, factor=2.0, ceiling=cap,
+                                 jitter_low=0.0, jitter_high=1.0)
+        ours, reference = random.Random(seed), random.Random(seed)
+        for attempt in range(12):
+            assert jittered.delay(attempt + 1, ours.random) \
+                == reference.random() * capped_doubling(attempt, base, cap)
+            assert RETRY_BACKOFF.delay(attempt + 1, ours.random) \
+                == capped_doubling(attempt, base, cap)
+            reference.random()  # the [1, 1] draw is taken and unused
 
 
 class TestConnectionPool:
@@ -128,7 +159,9 @@ class TestHttpRequestRetries:
             http_request("http://127.0.0.1:9/x", timeout=0.2, retries=3,
                          sleep=sleeps.append)
         assert exc.value.attempts == 4
-        assert sleeps == [backoff_delay(n) for n in range(3)]
+        assert sleeps == [capped_doubling(n, DEFAULT_BACKOFF,
+                                          DEFAULT_BACKOFF_CAP)
+                          for n in range(3)]
 
     def test_no_retries_by_default(self):
         sleeps = []
