@@ -2,8 +2,9 @@
 
 :class:`CoordinatorApp` exposes a :class:`~repro.dist.queue.TaskQueue`
 and an artifact store through the same framework-agnostic
-``handle(method, target, body)`` core the service plane uses — a stdlib
-``ThreadingHTTPServer`` mounts it, tests can call it without a socket.
+``handle(method, target, body)`` core the service plane uses — the
+shared :class:`~repro.service.http.AppServer` skin mounts it, tests can
+call it without a socket.
 
 The worker protocol (all JSON unless noted)::
 
@@ -36,31 +37,17 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 
 from ..obs.metrics import MetricsRegistry
+from ..service.http import JSON, AppServer, dumps, error_body
 from .queue import QueueError, Task, TaskQueue
 from .wire import WireError, decode_blob_ex
 
-JSON = "application/json"
 BINARY = "application/octet-stream"
 
 #: Longest lease a worker may ask for, as a multiple of the queue default.
 MAX_LEASE_FACTOR = 10.0
-
-#: Seconds between the serve loop's shutdown checks: the most
-#: :meth:`CoordinatorServer.close` waits for the loop to notice.
-_SHUTDOWN_POLL = 0.02
-
-
-def _dumps(doc: Any) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-def _error(code: str, message: str) -> bytes:
-    return _dumps({"error": {"code": code, "message": message}})
 
 
 class CoordinatorApp:
@@ -95,16 +82,16 @@ class CoordinatorApp:
             status, content_type, payload = self._dispatch(
                 method, parts, body)
         except QueueError as exc:
-            status, content_type, payload = 409, JSON, _error(
+            status, content_type, payload = 409, JSON, error_body(
                 "queue", str(exc))
         except WireError as exc:
-            status, content_type, payload = 400, JSON, _error(
+            status, content_type, payload = 400, JSON, error_body(
                 "wire", str(exc))
         except _BadRequest as exc:
-            status, content_type, payload = 400, JSON, _error(
+            status, content_type, payload = 400, JSON, error_body(
                 "bad-request", str(exc))
         except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
-            status, content_type, payload = 500, JSON, _error(
+            status, content_type, payload = 500, JSON, error_body(
                 "internal", f"{type(exc).__name__}: {exc}")
         self._http_bytes.labels(direction="out").inc(len(payload))
         return status, content_type, payload
@@ -121,7 +108,7 @@ class CoordinatorApp:
     def _dispatch(self, method: str, parts: list[str],
                   body: bytes) -> tuple[int, str, bytes]:
         if parts == ["healthz"] and method == "GET":
-            return 200, JSON, _dumps({"status": "ok"})
+            return 200, JSON, dumps({"status": "ok"})
 
         if parts == ["queue", "claim"] and method == "POST":
             doc = _json_body(body)
@@ -133,10 +120,10 @@ class CoordinatorApp:
             task = self.queue.claim(worker, lease=lease)
             if task is None:
                 if self.queue.draining:
-                    return 410, JSON, _error("drained", "queue is drained")
+                    return 410, JSON, error_body("drained", "queue is drained")
                 return 204, JSON, b""
             self._ops.labels(worker=worker, op="claim").inc()
-            return 200, JSON, _dumps(self._task_doc(task))
+            return 200, JSON, dumps(self._task_doc(task))
 
         if (len(parts) == 4 and parts[:2] == ["queue", "tasks"]
                 and method == "POST"):
@@ -151,33 +138,33 @@ class CoordinatorApp:
                 source = str(doc.get("source") or "computed")
                 self.queue.ack(task_id, worker, result=result, source=source)
                 self._ops.labels(worker=worker, op="ack").inc()
-                return 200, JSON, _dumps({"ok": True})
+                return 200, JSON, dumps({"ok": True})
             if action == "nack":
                 error = _require_str(doc, "error")
                 requeue = bool(doc.get("requeue", True))
                 task = self.queue.nack(task_id, worker, error,
                                        requeue=requeue)
                 self._ops.labels(worker=worker, op="nack").inc()
-                return 200, JSON, _dumps(
+                return 200, JSON, dumps(
                     {"ok": True, "state": task.state})
 
         if parts == ["queue", "heartbeat"] and method == "POST":
             doc = _json_body(body)
             extended = self.queue.heartbeat(_worker_id(doc))
-            return 200, JSON, _dumps({"extended": extended})
+            return 200, JSON, dumps({"extended": extended})
 
         if parts == ["queue", "status"] and method == "GET":
-            return 200, JSON, _dumps(self._status_doc())
+            return 200, JSON, dumps(self._status_doc())
 
         if len(parts) == 2 and parts[0] == "artifacts":
             key = parts[1]
             if self.store is None:
-                return 404, JSON, _error("no-store",
+                return 404, JSON, error_body("no-store",
                                          "coordinator has no artifact store")
             if method == "GET":
                 blob = self.store.fetch_bytes(key)
                 if blob is None:
-                    return 404, JSON, _error("miss", f"no artifact {key}")
+                    return 404, JSON, error_body("miss", f"no artifact {key}")
                 return 200, BINARY, blob
             if method == "PUT":
                 try:
@@ -186,7 +173,7 @@ class CoordinatorApp:
                     raise _BadRequest(f"unstorable artifact: {exc}")
                 return 204, JSON, b""
 
-        return 404, JSON, _error(
+        return 404, JSON, error_body(
             "unknown-route", f"no route {method} /{'/'.join(parts)}")
 
     # ------------------------------------------------------------------
@@ -254,57 +241,6 @@ def _require_str(doc: dict[str, Any], field: str) -> str:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Stdlib skin
-# ---------------------------------------------------------------------------
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-dist"
-    protocol_version = "HTTP/1.1"
-    # Response headers and body go out as separate writes; with Nagle on,
-    # the body waits ~40ms for the client's delayed ACK — per request.
-    # TCP_NODELAY turns a keep-alive round trip from ~44ms into ~0.3ms.
-    disable_nagle_algorithm = True
-    # Reap keep-alive connections idle this long: a client that parked a
-    # pooled socket and left must not pin a handler thread forever.
-    timeout = 30.0
-    app: CoordinatorApp  # set by make_server on the subclass
-
-    def _serve(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        status, content_type, payload = self.app.handle(
-            method, self.path, body)
-        self.send_response(status)
-        if payload or status not in (204, 304):
-            self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        if payload:
-            self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._serve("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._serve("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._serve("PUT")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Quiet: /queue/status is the observable surface."""
-
-
-def make_server(app: CoordinatorApp, host: str = "127.0.0.1",
-                port: int = 0) -> ThreadingHTTPServer:
-    """Bind the coordinator; ``port=0`` picks a free one."""
-    handler = type("Handler", (_Handler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
-
-
 class CoordinatorServer:
     """A served CoordinatorApp with its own thread and lifecycle.
 
@@ -320,7 +256,7 @@ class CoordinatorServer:
                  host: str = "127.0.0.1", port: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.app = CoordinatorApp(queue, store, metrics=metrics)
-        self.server = make_server(self.app, host=host, port=port)
+        self.server = AppServer(self.app.handle, host, port)
         bound_host, bound_port = self.server.server_address[:2]
         self.url = f"http://{bound_host}:{bound_port}"
         self._thread: Optional[threading.Thread] = None
@@ -329,7 +265,6 @@ class CoordinatorServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self.server.serve_forever,
-                kwargs={"poll_interval": _SHUTDOWN_POLL},
                 name="repro-dist-coordinator", daemon=True)
             self._thread.start()
         return self.url

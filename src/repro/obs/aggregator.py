@@ -43,9 +43,11 @@ sequences, so an at-least-once replay never double-counts busy time.
 Malformed lines are counted and skipped — one bad line never poisons
 the rest of its batch.
 
-The aggregator mounts on the service plane
-(:class:`repro.service.app.ServiceApp` serves ``POST /obs/ingest`` and
-``GET /obs/fleet``) and also runs standalone::
+:meth:`FleetAggregator.handle` routes ``POST /obs/ingest``,
+``GET /obs/fleet`` and ``GET /healthz``.  The service plane mounts its
+``/obs`` routes (:class:`repro.service.app.ServiceApp`), and it also
+runs standalone on the shared :class:`~repro.service.http.AppServer`
+skin::
 
     python -m repro.obs.aggregator --port 8088
 
@@ -58,8 +60,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Optional
+
+from ..service.http import JSON, AppServer, dumps, error_body
 
 #: Snapshot schema version, bumped on breaking shape changes.
 SNAPSHOT_VERSION = 1
@@ -424,6 +427,25 @@ class FleetAggregator:
             }
         return doc
 
+    def handle(self, method: str, target: str,
+               body: bytes = b"") -> tuple[int, str, bytes]:
+        """The HTTP routes: ingest, fleet snapshot, health.
+
+        The service plane mounts the ``/obs`` routes through this same
+        method; :func:`make_obs_server` serves all three standalone.
+        """
+        path = target.split("?")[0].rstrip("/")
+        if method == "POST" and path == "/obs/ingest":
+            return 202, JSON, dumps(self.ingest(body))
+        if method == "GET" and path == "/obs/fleet":
+            return 200, JSON, dumps(self.snapshot())
+        if method == "GET" and path == "/healthz":
+            with self._lock:
+                sources = len(self._sources)
+            return 200, JSON, dumps({"status": "ok", "sources": sources})
+        return 404, JSON, error_body("unknown-route",
+                                     f"no route {method} {path}")
+
     def _disciplines(self) -> dict[str, Any]:
         """Collision/backoff rollups grouped by the discipline label."""
         groups: dict[str, list[_SourceState]] = {}
@@ -476,64 +498,12 @@ class FleetAggregator:
                 for name, value in sorted(totals.items())}
 
 
-# ---------------------------------------------------------------------------
-# Standalone HTTP skin (the service plane mounts the same aggregator
-# through repro.service.app; this one needs no job store).
-# ---------------------------------------------------------------------------
-
-JSON_TYPE = "application/json"
-
-
-def _dumps(doc: Any) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-class _ObsHandler(BaseHTTPRequestHandler):
-    server_version = "repro-obs"
-    protocol_version = "HTTP/1.1"
-    aggregator: FleetAggregator  # set on the subclass by make_obs_server
-
-    def _respond(self, status: int, payload: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", JSON_TYPE)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path.rstrip("/") != "/obs/ingest":
-            self._respond(404, _dumps({"error": "unknown route"}))
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        self._respond(202, _dumps(self.aggregator.ingest(body)))
-
-    def do_GET(self) -> None:  # noqa: N802
-        path = self.path.split("?")[0].rstrip("/")
-        if path == "/obs/fleet":
-            self._respond(200, _dumps(self.aggregator.snapshot()))
-        elif path == "/healthz":
-            self._respond(200, _dumps({
-                "status": "ok",
-                "sources": self.aggregator.snapshot()["totals"]["sources"],
-            }))
-        else:
-            self._respond(404, _dumps({"error": "unknown route"}))
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Quiet: ingest volume would swamp stderr."""
-
-
 def make_obs_server(aggregator: FleetAggregator, host: str = "127.0.0.1",
-                    port: int = 0) -> ThreadingHTTPServer:
+                    port: int = 0) -> AppServer:
     """A minimal obs-only server: ``/obs/ingest``, ``/obs/fleet``,
     ``/healthz``.  ``port=0`` picks a free port; the caller owns
     ``serve_forever()``/``shutdown()``."""
-    handler = type("ObsHandler", (_ObsHandler,), {"aggregator": aggregator})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return AppServer(aggregator.handle, host, port)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -19,14 +19,17 @@ from ..obs import Observability
 from ..obs.push import ObsPusher, resolve_push_url
 from ..parallel.cache import ResultCache
 from .app import make_server
-from .jobs import JobStore
+from .http import AppServer
+from .jobs import MAX_FINISHED_JOBS, JobStore
 from .sandbox import SandboxPolicy
 
 #: Seconds between periodic self-pushes of the service's own telemetry.
 OBS_PUSH_INTERVAL = 5.0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def build(argv: Optional[list[str]] = None,
+          ) -> tuple[argparse.Namespace, JobStore, AppServer]:
+    """Parse the flags; return them, the started store and its server."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="serve the repro grid service plane over HTTP")
@@ -48,7 +51,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="run every cell, serve nothing from cache")
     parser.add_argument("--ttl", type=float, default=3600.0,
-                        help="seconds to retain finished jobs (0 = forever)")
+                        help="seconds to retain finished jobs (0 = no age "
+                        f"limit; at most {MAX_FINISHED_JOBS} are kept "
+                        "either way)")
     parser.add_argument("--wall-budget", type=float, default=120.0,
                         help="real-seconds budget per job")
     parser.add_argument("--max-events", type=int, default=2_000_000,
@@ -84,13 +89,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         policy=policy, cache=cache, workers=args.workers,
         run_jobs=args.jobs, run_backend=args.backend,
         ttl=args.ttl if args.ttl > 0 else None,
-        obs=Observability())
+        # Counters, not timestamped series: nothing here reads .series,
+        # and a long-running server must not grow per update.
+        obs=Observability(keep_series=False))
     store.start()
-    server = make_server(store, host=args.host, port=args.port)
+    return args, store, make_server(store, host=args.host, port=args.port)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args, store, server = build(argv)
     host, port = server.server_address[:2]
+    cache = "off" if store.cache is None else store.cache.root
     print(f"repro-service: listening on http://{host}:{port} "
-          f"(workers={args.workers}, cache={'off' if cache is None else cache.root})",
-          flush=True)
+          f"(workers={args.workers}, cache={cache})", flush=True)
 
     push_url = (f"http://{host}:{port}" if args.obs_push == "self"
                 else resolve_push_url(args.obs_push))

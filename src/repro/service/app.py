@@ -1,10 +1,10 @@
-"""The HTTP skin over the job store.
+"""The HTTP routes over the job store.
 
 The routing/handling core (:class:`ServiceApp`) is framework-agnostic:
 ``handle(method, path, body)`` returns ``(status, content_type, body
 bytes)`` and knows nothing about sockets.  :func:`make_server` mounts
-it on a stdlib ``ThreadingHTTPServer`` — zero dependencies, what
-``python -m repro.service`` and the tests run.
+it on the shared :class:`~repro.service.http.AppServer` skin — zero
+dependencies, what ``python -m repro.service`` and the tests run.
 
 Endpoints::
 
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import json
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.aggregator import FleetAggregator
 from ..obs.exporters import prometheus_text
+from .http import JSON, AppServer, dumps, error_body
 from .jobs import JobStore, NotFinished, UnknownJob
 from .sandbox import SandboxRejection
 from .schemas import (
@@ -45,23 +45,10 @@ from .schemas import (
     TERMINAL,
 )
 
-JSON = "application/json"
 PROM = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Longest an events long-poll (?wait=) may hold a handler thread.
 MAX_EVENT_WAIT = 30.0
-
-
-def _dumps(doc: Any) -> bytes:
-    """Deterministic wire form: sorted keys, no float noise added."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-def _error(code: str, message: str,
-           details: Optional[list[str]] = None) -> Any:
-    return {"error": {"code": code, "message": message,
-                      "details": details or []}}
 
 
 class ServiceApp:
@@ -93,25 +80,24 @@ class ServiceApp:
             status, content_type, payload = self._dispatch(
                 method, parts, query, body)
         except UnknownRoute:
-            status, content_type, payload = 404, JSON, _dumps(
-                _error("unknown-route",
-                       f"no route {method} {split.path}"))
+            status, content_type, payload = 404, JSON, error_body(
+                "unknown-route", f"no route {method} {split.path}")
         except UnknownJob as exc:
-            status, content_type, payload = 404, JSON, _dumps(
-                _error("unknown-job", f"no such job: {exc.job_id}"))
+            status, content_type, payload = 404, JSON, error_body(
+                "unknown-job", f"no such job: {exc.job_id}")
         except NotFinished as exc:
-            status, content_type, payload = 409, JSON, _dumps(
-                _error("not-finished",
-                       f"job {exc.job_id} is {exc.state}; result not ready"))
+            status, content_type, payload = 409, JSON, error_body(
+                "not-finished",
+                f"job {exc.job_id} is {exc.state}; result not ready")
         except SandboxRejection as exc:
-            status, content_type, payload = 422, JSON, _dumps(
-                _error(exc.code, str(exc), exc.details))
+            status, content_type, payload = 422, JSON, error_body(
+                exc.code, str(exc), exc.details)
         except SchemaError as exc:
-            status, content_type, payload = 400, JSON, _dumps(
-                _error("schema", str(exc)))
+            status, content_type, payload = 400, JSON, error_body(
+                "schema", str(exc))
         except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
-            status, content_type, payload = 500, JSON, _dumps(
-                _error("internal", f"{type(exc).__name__}: {exc}"))
+            status, content_type, payload = 500, JSON, error_body(
+                "internal", f"{type(exc).__name__}: {exc}")
         self._m_requests.labels(
             method=method, route=route, code=str(status)).inc()
         self._m_latency.observe(time.monotonic() - started)
@@ -126,25 +112,25 @@ class ServiceApp:
 
         if method == "POST" and parts == ["scripts"]:
             submission = ScriptSubmission.from_jsonable(_body_doc(body))
-            return 202, JSON, _dumps(
+            return 202, JSON, dumps(
                 self.store.submit(submission).to_jsonable())
         if method == "POST" and parts == ["campaigns"]:
             submission = CampaignSubmission.from_jsonable(_body_doc(body))
-            return 202, JSON, _dumps(
+            return 202, JSON, dumps(
                 self.store.submit(submission).to_jsonable())
 
         if head == "jobs":
             if method == "GET" and len(parts) == 1:
                 jobs = sorted(self.store.jobs(), key=lambda s: -s.created)
-                return 200, JSON, _dumps(
+                return 200, JSON, dumps(
                     {"jobs": [status.to_jsonable() for status in jobs]})
             if len(parts) >= 2:
                 job_id = parts[1]
                 if method == "GET" and len(parts) == 2:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.status(job_id).to_jsonable())
                 if method == "GET" and parts[2:] == ["result"]:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.result(job_id).to_jsonable())
                 if method == "GET" and parts[2:] == ["events"]:
                     since = _int_param(query, "since", 0)
@@ -152,30 +138,28 @@ class ServiceApp:
                                MAX_EVENT_WAIT)
                     events = self.store.events(job_id, since=since,
                                                wait=wait)
-                    return 200, JSON, _dumps({
+                    return 200, JSON, dumps({
                         "job_id": job_id,
                         "events": [event.to_jsonable() for event in events],
                         "next": events[-1].seq if events else since,
                     })
                 if method == "DELETE" and len(parts) == 2:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.cancel(job_id).to_jsonable())
                 if method == "POST" and parts[2:] == ["cancel"]:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.cancel(job_id).to_jsonable())
 
         if head == "obs":
-            if method == "POST" and parts == ["obs", "ingest"]:
-                return 202, JSON, _dumps(dict(self.aggregator.ingest(body)))
-            if method == "GET" and parts == ["obs", "fleet"]:
-                return 200, JSON, _dumps(self.aggregator.snapshot())
+            return self.aggregator.handle(
+                method, "/" + "/".join(parts), body)
 
         if method == "GET" and parts == ["healthz"]:
             jobs = self.store.jobs()
             by_state: dict[str, int] = {}
             for status in jobs:
                 by_state[status.state] = by_state.get(status.state, 0) + 1
-            return 200, JSON, _dumps({
+            return 200, JSON, dumps({
                 "status": "ok",
                 "jobs": by_state,
                 "active": sum(count for state, count in by_state.items()
@@ -224,46 +208,12 @@ def _float_param(query: dict, name: str, default: float) -> float:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Stdlib skin
-# ---------------------------------------------------------------------------
-
-class _Handler(BaseHTTPRequestHandler):
-    """One request; the app does the thinking."""
-
-    server_version = "repro-service"
-    protocol_version = "HTTP/1.1"
-    app: ServiceApp  # set by make_server on the subclass
-
-    def _serve(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        status, content_type, payload = self.app.handle(
-            method, self.path, body)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._serve("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._serve("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._serve("DELETE")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Quiet by default; the metrics endpoint is the access log."""
-
-
 def make_server(store: JobStore, host: str = "127.0.0.1",
                 port: int = 0,
                 aggregator: Optional[FleetAggregator] = None,
-                ) -> ThreadingHTTPServer:
-    """A ready-to-serve ThreadingHTTPServer bound to ``host:port``.
+                ) -> AppServer:
+    """A ready-to-serve :class:`~repro.service.http.AppServer` on
+    ``host:port``.
 
     ``port=0`` picks a free port (read it back from
     ``server.server_address``).  The caller owns both lifecycles:
@@ -272,8 +222,6 @@ def make_server(store: JobStore, host: str = "127.0.0.1",
     or ``aggregator``) is exposed as ``server.fleet_aggregator``.
     """
     app = ServiceApp(store, aggregator=aggregator)
-    handler = type("Handler", (_Handler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
+    server = AppServer(app.handle, host, port)
     server.fleet_aggregator = app.aggregator  # type: ignore[attr-defined]
     return server

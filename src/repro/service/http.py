@@ -1,6 +1,15 @@
-"""The shared HTTP core: one connection pool, one retry discipline.
+"""The shared HTTP core: one server skin, one connection pool, one retry
+discipline.
 
-:class:`~repro.service.client.ServiceClient`, the
+Server half: :class:`AppServer` mounts any framework-agnostic
+``handle(method, target, body) -> (status, content_type, payload)`` on
+a stdlib ``ThreadingHTTPServer``.  The service plane, the dist
+coordinator and the standalone fleet aggregator all serve through it,
+so all three speak HTTP/1.1 keep-alive with Content-Length, run
+Nagle-free, reap idle connections, answer a malformed Content-Length
+with a JSON 400, and shut down within one 20 ms serve-loop poll.
+
+Client half: :class:`~repro.service.client.ServiceClient`, the
 :mod:`repro.dist.worker` loop, and the coordinator's artifact client
 all speak HTTP through :func:`http_request`.  It separates the two
 failure planes cleanly:
@@ -17,15 +26,15 @@ failure planes cleanly:
   worse than the simulated ones.
 
 Transport is a process-wide :class:`HttpConnectionPool` of persistent
-keep-alive connections (both stdlib servers in this repo speak
-HTTP/1.1 with Content-Length, so sockets are reusable).  A fresh TCP
-connection per request was the dist plane's single biggest wire tax —
-three handshakes per campaign cell.  A pooled connection the server
-quietly closed while idle is detected on the next use and replayed
-once on a fresh socket *without* consuming a retry; that replay can
-re-execute a request the server already processed, which every caller
-in this repo tolerates (the worker protocol is at-least-once by
-design, service GETs are idempotent).
+keep-alive connections (every server in this repo speaks HTTP/1.1
+with Content-Length through :class:`AppServer`, so sockets are
+reusable).  A fresh TCP connection per request was the dist plane's
+single biggest wire tax — three handshakes per campaign cell.  A
+pooled connection the server quietly closed while idle is detected on
+the next use and replayed once on a fresh socket *without* consuming a
+retry; that replay can re-execute a request the server already
+processed, which every caller in this repo tolerates (the worker
+protocol is at-least-once by design, service GETs are idempotent).
 
 Retries are opt-in (``retries=0`` by default) because they are only
 safe for idempotent requests; callers enable them for GETs and for
@@ -35,6 +44,7 @@ worker-protocol calls that are idempotent by design.
 from __future__ import annotations
 
 import http.client
+import json
 import os
 import random
 import socket
@@ -44,7 +54,8 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, Mapping, Optional
 
 from ..core.backoff import BackoffPolicy
 
@@ -272,3 +283,96 @@ def _urllib_request(url, method, body, headers, timeout, retries,
                     url, reason, attempts=attempt + 1) from None
             attempt += 1
             sleep(backoff.delay(attempt, random.random))
+
+
+# ---------------------------------------------------------------------------
+# Server skin
+# ---------------------------------------------------------------------------
+
+JSON = "application/json"
+
+#: Seconds between the serve loop's shutdown checks: the most
+#: ``shutdown()`` waits for :meth:`AppServer.serve_forever` to notice.
+SHUTDOWN_POLL = 0.02
+
+#: Keep-alive connections idle this long are reaped: a client that
+#: parked a pooled socket and left must not pin a handler thread.
+IDLE_TIMEOUT = 30.0
+
+#: ``handle(method, target, body) -> (status, content_type, payload)``.
+Handle = Callable[[str, str, bytes], tuple[int, str, bytes]]
+
+
+def dumps(doc: Any) -> bytes:
+    """Deterministic wire form: sorted keys, compact, newline-ended."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def error_body(code: str, message: str,
+               details: Optional[list[str]] = None) -> bytes:
+    """The one error shape: ``{"error": {"code", "message", "details"}}``."""
+    return dumps({"error": {"code": code, "message": message,
+                            "details": details or []}})
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Frame one request, hand it to the app, write one response."""
+
+    server: "AppServer"
+    server_version = "repro"
+    protocol_version = "HTTP/1.1"
+    # Response headers and body go out as separate writes; with Nagle on,
+    # the body waits ~40ms for the client's delayed ACK — per request.
+    # TCP_NODELAY turns a keep-alive round trip from ~44ms into ~0.3ms.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
+
+    def _serve(self) -> None:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so nothing after it on this
+            # connection can be framed: answer, then hang up.
+            self.close_connection = True
+            status, content_type, payload = 400, JSON, error_body(
+                "bad-request", "malformed Content-Length header")
+        else:
+            body = self.rfile.read(length) if length else b""
+            status, content_type, payload = self.server.app(
+                self.command, self.path, body)
+        self.send_response(status)
+        if payload or status not in (204, 304):
+            self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        if payload:
+            self.wfile.write(payload)
+
+    do_GET = do_POST = do_PUT = do_DELETE = _serve
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """Quiet: each app's metrics or status route is its access log."""
+
+
+class AppServer(ThreadingHTTPServer):
+    """A ``handle`` function served on ``host:port``.
+
+    ``port=0`` picks a free port (read it back from ``server_address``).
+    The caller owns the lifecycle: ``serve_forever()`` on some thread,
+    then ``shutdown()`` and ``server_close()``.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, app: Handle, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
+        self.app = app
+        super().__init__((host, port), _Handler)
+
+    def serve_forever(self, poll_interval: float = SHUTDOWN_POLL) -> None:
+        super().serve_forever(poll_interval)

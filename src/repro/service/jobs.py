@@ -10,11 +10,13 @@ Job ids are deterministic content hashes of the normalized submission
 (:func:`repro.service.schemas.job_id_for`, the result cache's sha256
 recipe), so identical submissions *dedupe to one job* — the second
 submitter of a popular campaign gets the first one's job id, and a
-resubmission after completion is served from the store (or, after TTL
-expiry, re-runs as pure cache hits).
+resubmission after completion re-runs as pure cache hits.
 
 States: ``queued -> running -> done | failed | cancelled``.  Terminal
-jobs are retained for ``ttl`` seconds, then purged.
+jobs are retained for ``ttl`` seconds and at most
+:data:`MAX_FINISHED_JOBS` of them at once, oldest-finished evicted
+first; queued and running jobs are never evicted.  An evicted job id is
+unknown (404) until it is resubmitted.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ from .schemas import (
     TERMINAL,
     job_id_for,
 )
+
+
+#: Terminal records kept at once; the oldest-finished goes first.  Every
+#: finished job's cells live on in the result cache, so a bigger window
+#: buys only longer-lived job ids, paid for in resident memory.
+MAX_FINISHED_JOBS = 256
 
 
 class UnknownJob(KeyError):
@@ -138,6 +146,10 @@ class JobStore:
         self.obs = coalesce(obs)
         self._workers = workers
         self._records: dict[str, JobRecord] = {}
+        # Ids of terminal records in the order they finished (a dict
+        # keeps insertion order): eviction and TTL expiry pop from the
+        # front, so neither scans the whole store.
+        self._finished: dict[str, None] = {}
         self._lock = threading.Lock()
         # Event appends notify long-poll waiters (events(wait=...)).
         self._wakeup = threading.Condition(self._lock)
@@ -164,6 +176,9 @@ class JobStore:
             labels=("state",))
         self._m_running = metrics.gauge(
             "service_jobs_running", "jobs currently executing")
+        self._m_evicted = metrics.counter(
+            "service_jobs_evicted_total",
+            "finished jobs dropped by the count cap or the TTL")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -267,6 +282,7 @@ class JobStore:
                 # re-run is a pure cache read — which is exactly what
                 # makes `cache_hit: true` observable on resubmission.
                 record = existing
+                self._finished.pop(job_id, None)
                 record.state = QUEUED
                 record.started = None
                 record.finished = None
@@ -352,36 +368,52 @@ class JobStore:
             record = self._get(job_id)
             if record.state == QUEUED:
                 record.cancel.set()
-                record.state = CANCELLED
-                record.finished = self.clock()
-                self._event_locked(record, CANCELLED, "cancelled while queued")
-                self._m_finished.labels(state=CANCELLED).inc()
+                self._finish_locked(record, CANCELLED,
+                                    "cancelled while queued")
             elif record.state == RUNNING:
                 record.cancel.set()
                 self._event_locked(record, RUNNING, "cancellation requested")
             return record.status()
 
     def purge_expired(self, now: Optional[float] = None) -> int:
-        """Drop terminal records older than the TTL; returns the count."""
+        """Drop terminal records past the TTL or the count cap; returns
+        the count."""
         with self._lock:
             return self._purge_locked(now if now is not None
                                       else self.clock())
 
     def _purge_locked(self, now: float) -> int:
-        if self.ttl is None:
-            return 0
-        expired = [
-            job_id for job_id, record in self._records.items()
-            if record.state in TERMINAL and record.finished is not None
-            and now - record.finished > self.ttl
-        ]
-        for job_id in expired:
-            del self._records[job_id]
-        return len(expired)
+        dropped = 0
+        while self._finished:
+            job_id = next(iter(self._finished))
+            record = self._records[job_id]
+            if (len(self._finished) <= MAX_FINISHED_JOBS
+                    and (self.ttl is None
+                         or now - record.finished <= self.ttl)):
+                break
+            del self._finished[job_id]
+            if record.state in TERMINAL:
+                del self._records[job_id]
+                dropped += 1
+        if dropped:
+            self._m_evicted.inc(dropped)
+        return dropped
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _finish_locked(self, record: JobRecord, state: str,
+                       message: str) -> None:
+        """Settle ``record`` terminal, then enforce the retention cap."""
+        record.state = state
+        record.finished = self.clock()
+        if state == FAILED:
+            record.error = message
+        self._event_locked(record, state, message)
+        self._m_finished.labels(state=state).inc()
+        self._finished[record.job_id] = None
+        self._purge_locked(record.finished)
+
     def _event_locked(self, record: JobRecord, state: str,
                       message: str) -> None:
         record.events.append(JobEvent(
@@ -429,26 +461,18 @@ class JobStore:
                 self.obs.tracer.finish(span, "failed")
             else:
                 with self._lock:
-                    record.state = DONE
-                    record.finished = self.clock()
                     record.result = payload
                     record.cache_hit = cache_hit
-                    self._event_locked(
+                    self._finish_locked(
                         record, DONE,
                         "served from cache" if cache_hit else "computed")
-                self._m_finished.labels(state=DONE).inc()
                 self.obs.tracer.finish(span, "ok", cache_hit=cache_hit)
             finally:
                 self._m_running.inc(-1)
 
     def _finish(self, record: JobRecord, state: str, error: str) -> None:
         with self._lock:
-            record.state = state
-            record.finished = self.clock()
-            if state == FAILED:
-                record.error = error
-            self._event_locked(record, state, error)
-        self._m_finished.labels(state=state).inc()
+            self._finish_locked(record, state, error)
 
     def _execute(self, record: JobRecord) -> tuple[Any, bool]:
         """Run the job's cells (on a pool thread); returns the jsonable

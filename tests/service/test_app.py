@@ -14,7 +14,9 @@ from repro.obs import Observability
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import run_cells
 from repro.parallel.transport import to_jsonable
+from repro.service.__main__ import build
 from repro.service.app import ServiceApp, make_server
+from repro.service.client import ServiceClient
 from repro.service.jobs import JobStore
 from repro.service.sandbox import SandboxPolicy, admit_campaign, cells_for
 from repro.service.schemas import CampaignSubmission, TERMINAL
@@ -247,3 +249,28 @@ class TestSocketEndToEnd:
             finally:
                 server.shutdown()
                 server.server_close()
+
+
+class TestServeCommand:
+    def test_no_metric_keeps_a_timestamped_series(self, tmp_path):
+        """``python -m repro.service`` runs for days: every counter and
+        gauge update must not append to a series nothing reads."""
+        _, store, server = build(["--port", "0", "--cache-dir",
+                                  str(tmp_path)])
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}")
+        try:
+            for seed in range(5):
+                job = client.submit_script(GOOD, timeout=600.0, seed=seed)
+                assert client.wait(job.job_id, timeout=30.0).state == "done"
+            client.healthz()
+            client.metrics()
+        finally:
+            server.shutdown()
+            server.server_close()
+            store.close()
+        children = [child for family in store.obs.metrics.families()
+                    for child in family.children()]
+        assert children
+        assert all(child.series is None for child in children)

@@ -1,16 +1,23 @@
 """The shared HTTP core: retry discipline, backoff shape, keep-alive
-pooling, long-poll."""
+pooling, long-poll, and the server skin every app mounts on."""
 
 import json
 import random
+import socket
+import statistics
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.core.backoff import BackoffPolicy
+from repro.dist.coordinator import CoordinatorServer
+from repro.dist.queue import TaskQueue
+from repro.dist.store import MemoryArtifactStore
 from repro.dist.worker import idle_backoff
 from repro.obs import Observability
+from repro.obs.aggregator import FleetAggregator, make_obs_server
 from repro.parallel.cache import ResultCache
 from repro.service.app import MAX_EVENT_WAIT, ServiceApp, make_server
 from repro.service.client import ServiceClient, ServiceError
@@ -18,6 +25,7 @@ from repro.service.http import (
     DEFAULT_BACKOFF,
     DEFAULT_BACKOFF_CAP,
     RETRY_BACKOFF,
+    SHARED_POOL,
     HttpConnectionPool,
     HttpTransportError,
     http_request,
@@ -276,3 +284,85 @@ class TestEventsLongPoll:
             f"/jobs/{status.job_id}/events?since=10000&wait=0.2")
         assert code == 200
         assert time.monotonic() - started < MAX_EVENT_WAIT
+
+
+def raw_exchange(url, request):
+    """Send raw bytes, read until the server hangs up."""
+    parts = urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.fixture
+def coordinator():
+    server = CoordinatorServer(TaskQueue(), MemoryArtifactStore())
+    try:
+        yield server.start()
+    finally:
+        server.close()
+
+
+def serving(server):
+    """Start ``server`` on a plain ``serve_forever()``; returns its URL."""
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address[:2]
+    return f"http://{host}:{port}"
+
+
+class TestServerSkin:
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    @pytest.mark.parametrize("plane", ["service", "coordinator"])
+    def test_malformed_content_length_is_400(self, plane, length, request):
+        """The handler thread must answer, not die with a ValueError (or
+        block reading to EOF) and drop the connection."""
+        fixture = request.getfixturevalue(plane)
+        url = fixture[0] if plane == "service" else fixture
+        reply = raw_exchange(url, (
+            f"POST /scripts HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}").encode())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "bad-request"
+
+    @pytest.mark.parametrize("plane", ["service", "aggregator"])
+    def test_shutdown_returns_within_a_tenth_of_a_second(self, plane):
+        with JobStore(workers=1, cache=None) as store:
+            server = (make_server(store, port=0) if plane == "service"
+                      else make_obs_server(FleetAggregator(), port=0))
+            url = serving(server)
+            pool = HttpConnectionPool()
+            assert pool.request(url + "/healthz").status == 200
+            started = time.perf_counter()
+            server.shutdown()
+            server.server_close()
+            elapsed = time.perf_counter() - started
+            pool.clear()
+        assert elapsed < 0.1, elapsed
+
+    def test_keep_alive_round_trip_is_nagle_free(self):
+        """Ten sequential lint refusals over one pooled connection: with
+        Nagle on, each one waits ~40ms on the client's delayed ACK."""
+        with JobStore(policy=SandboxPolicy(lint_warn_as_error=True),
+                      workers=1, obs=Observability()) as store:
+            server = make_server(store, port=0)
+            url = serving(server)
+            body = json.dumps({"script": GOOD}).encode()
+            try:
+                timings = []
+                for _ in range(10):
+                    started = time.perf_counter()
+                    response = http_request(url + "/scripts", method="POST",
+                                            body=body)
+                    timings.append(time.perf_counter() - started)
+                    assert response.status == 422
+            finally:
+                SHARED_POOL.clear()
+                server.shutdown()
+                server.server_close()
+        assert statistics.median(timings) < 0.020, timings

@@ -1,14 +1,25 @@
-"""Job store lifecycle: dedupe, warm-cache resubmission, cancel, TTL."""
+"""Job store lifecycle: dedupe, warm-cache resubmission, cancel, TTL,
+and the finished-job cap."""
 
+import json
+import threading
 import time
 
 import pytest
 
+from repro.obs import Observability
 from repro.parallel.cache import ResultCache
-from repro.service.jobs import JobStore, NotFinished, UnknownJob
+from repro.service.app import ServiceApp
+from repro.service.jobs import (
+    MAX_FINISHED_JOBS,
+    JobStore,
+    NotFinished,
+    UnknownJob,
+)
 from repro.service.sandbox import SandboxPolicy, SandboxRejection
 from repro.service.schemas import (
     CampaignSubmission,
+    QUEUED,
     RUNNING,
     ScriptSubmission,
     TERMINAL,
@@ -212,3 +223,72 @@ class TestBudgetsAndTtl:
             JobStore(workers=0)
         with pytest.raises(ValueError):
             JobStore(ttl=-1.0)
+
+
+class TestRetentionCap:
+    def test_oldest_finished_jobs_are_evicted_past_the_cap(self, tmp_path):
+        k = 3
+        obs = Observability(keep_series=False)
+        with JobStore(policy=SandboxPolicy(wall_budget=60.0),
+                      cache=ResultCache(root=str(tmp_path)),
+                      workers=1, obs=obs) as store:
+            app = ServiceApp(store)
+            docs = [{"script": GOOD, "timeout": 600.0, "seed": seed}
+                    for seed in range(MAX_FINISHED_JOBS + k)]
+
+            def post(doc):
+                status, _, payload = app.handle(
+                    "POST", "/scripts", json.dumps(doc).encode())
+                assert status == 202
+                return json.loads(payload)["job_id"]
+
+            oldest = post(docs[0])
+            wait_terminal(store, oldest)
+            _, _, first = app.handle("GET", f"/jobs/{oldest}/result")
+            # One worker runs jobs in submission order, so once the last
+            # is terminal every earlier one finished before it.
+            ids = [post(doc) for doc in docs[1:]]
+            wait_terminal(store, ids[-1])
+
+            assert len(store.jobs()) <= MAX_FINISHED_JOBS
+            evicted = obs.metrics.get("service_jobs_evicted_total")
+            assert evicted.value == k
+            status, _, payload = app.handle("GET", f"/jobs/{oldest}")
+            assert status == 404
+            assert json.loads(payload)["error"]["code"] == "unknown-job"
+
+            assert post(docs[0]) == oldest
+            assert wait_terminal(store, oldest).cache_hit is True
+            _, _, again = app.handle("GET", f"/jobs/{oldest}/result")
+            assert (json.dumps(json.loads(again)["result"]).encode()
+                    == json.dumps(json.loads(first)["result"]).encode())
+
+    def test_queued_and_running_jobs_are_never_evicted(self, monkeypatch):
+        monkeypatch.setattr("repro.service.jobs.MAX_FINISHED_JOBS", 1)
+        release = threading.Event()
+        execute = JobStore._execute
+
+        def held(self, record):
+            release.wait(30.0)
+            return execute(self, record)
+
+        monkeypatch.setattr(JobStore, "_execute", held)
+        obs = Observability(keep_series=False)
+        with JobStore(policy=SandboxPolicy(wall_budget=60.0),
+                      workers=1, obs=obs) as store:
+            jobs = [store.submit(ScriptSubmission(
+                script=GOOD, timeout=600.0, seed=seed)).job_id
+                for seed in range(4)]
+            running = jobs[0]
+            deadline = time.monotonic() + 30.0
+            while store.status(running).state != RUNNING:
+                assert time.monotonic() < deadline, "first job never ran"
+                time.sleep(0.01)
+            store.cancel(jobs[1])
+            store.cancel(jobs[2])
+            states = {status.job_id: status.state for status in store.jobs()}
+            assert states == {running: RUNNING, jobs[2]: "cancelled",
+                              jobs[3]: QUEUED}
+            assert obs.metrics.get("service_jobs_evicted_total").value == 1
+            release.set()
+            wait_terminal(store, jobs[3])
